@@ -1,10 +1,9 @@
 // Read-path baseline for the query engine (DESIGN.md §13): the same
-// range workload measured through (a) the legacy sequential path —
-// RangeByIndex's region-by-region walk plus one GetRow per hit — (b) the
-// engine's scatter-gather scan with batched read-repair, (c) the
-// scatter-gather scan serving a covered projection (zero base reads),
-// and, for sync-insert, (d) scatter-gather with the sequential per-hit
-// repair, isolating the MultiGet batching delta.
+// range workload measured through (a) the engine's scatter-gather scan
+// with batched read-repair and one GetRow per hit, and (b) the
+// scatter-gather scan serving a covered projection (zero base reads).
+// A wide hits-only scan (one page spanning ~8 index regions) measures
+// the scatter legs on their own.
 //
 // The indexed values are hex-prefixed strings, so the index entries
 // spread across every index-table region and the scatter legs genuinely
@@ -31,9 +30,8 @@ constexpr uint64_t kItems = 6000;
 constexpr int kQueries = 40;
 constexpr int kRangePrefixWidth = 8;  // ~items*width/256 entries per query
 
-// Wide ranges for the scan-stage comparison: ~half the keyspace, so the
-// range genuinely spans several index regions and the serial region walk
-// pays one round trip per region where the scatter legs pay one.
+// Wide ranges for the scan stage: ~half the keyspace, so the range
+// genuinely spans several index regions.
 constexpr int kWideQueries = 8;
 constexpr int kWidePrefixWidth = 128;
 
@@ -62,9 +60,9 @@ Status MakeEnv(IndexScheme scheme, uint64_t items, Env* env) {
   ClusterOptions options;
   options.num_servers = 4;
   // Finer partitioning than the default benches: the scatter-gather
-  // design point is many regions per range, where the serial walk pays
-  // one round trip per region. Hop cost is cross-rack rather than the
-  // default same-rack 40us, as in the paper's distributed testbed.
+  // design point is many regions per range. Hop cost is cross-rack
+  // rather than the default same-rack 40us, as in the paper's
+  // distributed testbed.
   options.regions_per_table = 16;
   options.latency.network_hop_micros = 100;
   options.latency.scale = 1.0;
@@ -133,25 +131,8 @@ struct QueryGen {
 using QueryFn = Status (*)(Env*, ReadEngine*, const std::string&,
                            const std::string&, uint64_t*);
 
-// (a) Legacy path: sequential region walk + one GetRow per hit.
-Status SeqLoopQuery(Env* env, ReadEngine*, const std::string& lo,
-                    const std::string& hi, uint64_t* rows_out) {
-  std::vector<IndexHit> hits;
-  DIFFINDEX_RETURN_NOT_OK(
-      env->client->RangeByIndex(kTable, kIndex, lo, hi, 0, &hits));
-  uint64_t rows = 0;
-  for (const IndexHit& hit : hits) {
-    GetRowResponse resp;
-    DIFFINDEX_RETURN_NOT_OK(env->client->GetRow(kTable, hit.base_row, &resp));
-    if (resp.found) rows++;
-  }
-  *rows_out = rows;
-  return Status::OK();
-}
-
 Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
-                   const std::string& hi, bool covered, bool batched,
-                   uint64_t* rows_out) {
+                   const std::string& hi, bool covered, uint64_t* rows_out) {
   (void)env;
   ScanSpec spec;
   spec.table = kTable;
@@ -161,7 +142,6 @@ Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
   spec.projection = {kColumn, kExtra};
   ScanOptions options;
   options.allow_covered = covered;
-  options.batched_repair = batched;
   std::vector<ScannedRow> rows;
   DIFFINDEX_RETURN_NOT_OK(engine->ScanByIndex(spec, options, &rows));
   *rows_out = rows.size();
@@ -170,35 +150,17 @@ Status EngineQuery(Env* env, ReadEngine* engine, const std::string& lo,
 
 Status ScatterQuery(Env* env, ReadEngine* engine, const std::string& lo,
                     const std::string& hi, uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/false,
-                     /*batched=*/true, rows);
-}
-
-Status ScatterSeqRepairQuery(Env* env, ReadEngine* engine,
-                             const std::string& lo, const std::string& hi,
-                             uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/false,
-                     /*batched=*/false, rows);
+  return EngineQuery(env, engine, lo, hi, /*covered=*/false, rows);
 }
 
 Status CoveredQuery(Env* env, ReadEngine* engine, const std::string& lo,
                     const std::string& hi, uint64_t* rows) {
-  return EngineQuery(env, engine, lo, hi, /*covered=*/true,
-                     /*batched=*/true, rows);
+  return EngineQuery(env, engine, lo, hi, /*covered=*/true, rows);
 }
 
-// Scan-stage pair: the serial region walk vs the scatter legs, with the
-// base fetch out of the picture on both sides (hits only / covered
-// entries only, one page wide enough for the whole range).
-Status WideSeqScanQuery(Env* env, ReadEngine*, const std::string& lo,
-                        const std::string& hi, uint64_t* rows_out) {
-  std::vector<IndexHit> hits;
-  DIFFINDEX_RETURN_NOT_OK(
-      env->client->RangeByIndex(kTable, kIndex, lo, hi, 0, &hits));
-  *rows_out = hits.size();
-  return Status::OK();
-}
-
+// Scan stage on its own: the scatter legs with the base fetch out of the
+// picture (covered entries only, one page wide enough for the whole
+// range).
 Status WideScatterQuery(Env* env, ReadEngine* engine, const std::string& lo,
                         const std::string& hi, uint64_t* rows_out) {
   (void)env;
@@ -283,19 +245,12 @@ void RunSeries(IndexScheme scheme, MetricsJsonWriter* writer) {
       std::string lo, hi;
       gen.Next(&lo, &hi);
       uint64_t rows = 0;
-      (void)SeqLoopQuery(&env, &engine, lo, hi, &rows);
+      (void)ScatterQuery(&env, &engine, lo, hi, &rows);
     }
   }
 
-  RunMode(&env, &engine, label, "scan_seq", WideSeqScanQuery,
-          kWideQueries, kWidePrefixWidth);
   RunMode(&env, &engine, label, "scan_scatter", WideScatterQuery,
           kWideQueries, kWidePrefixWidth);
-  RunMode(&env, &engine, label, "seq_loop", SeqLoopQuery);
-  if (scheme == IndexScheme::kSyncInsert) {
-    RunMode(&env, &engine, label, "scatter_seqrepair",
-            ScatterSeqRepairQuery);
-  }
   RunMode(&env, &engine, label, "scatter_batched", ScatterQuery);
   RunMode(&env, &engine, label, "covered", CoveredQuery);
   writer->AddPoint(label, env.cluster.get());
@@ -318,13 +273,8 @@ int main(int argc, char** argv) {
   RunSeries(IndexScheme::kAsyncSimple, &writer);
   RunSeries(IndexScheme::kAsyncSession, &writer);
   if (!writer.Write()) return 1;
-  printf("Expected shape: scan_scatter beats scan_seq under every scheme\n");
-  printf("(legs fan out instead of walking index regions serially), most\n");
-  printf("dramatically for sync-insert where the serial walk also pays a\n");
-  printf("double-check per entry; scatter_batched beats seq_loop and\n");
-  printf("scatter_seqrepair for sync-insert by collapsing K GetCell round\n");
-  printf("trips into per-server MultiGets (for the other schemes the two\n");
-  printf("are a wash: the per-hit base fetch stage is identical); covered\n");
-  printf("drops the base fetch to zero reads and wins everywhere.\n");
+  printf("Expected shape: covered drops the base fetch to zero reads and\n");
+  printf("beats scatter_batched under every scheme; sync-insert pays its\n");
+  printf("double-check as one MultiGet per server per page on top.\n");
   return 0;
 }

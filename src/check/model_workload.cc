@@ -187,17 +187,15 @@ RunOutcome RunModel(const ModelOptions& options,
       sched->RegisterCurrentThread("scanner", /*daemon=*/false);
       DiffIndexClient* client =
           clients[static_cast<size_t>(num_writers) + 1].get();
-      ReadEngine engine(client);
       ScanSpec spec;
       spec.table = kTable;
       spec.index_name = kIndexName;
       ScanOptions scan;
       scan.page_entries = 2;
       scan.max_parallel = 1;
-      scan.batched_repair = true;
       for (int pass = 0; pass < 2; ++pass) {
         std::vector<ScannedRow> scanned;
-        Status rs = engine.ScanByIndex(spec, scan, &scanned);
+        Status rs = client->engine()->ScanByIndex(spec, scan, &scanned);
         if (!rs.ok()) {
           inline_violations[static_cast<size_t>(num_writers)] =
               "scan reader failed: " + rs.ToString();

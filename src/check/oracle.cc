@@ -49,8 +49,8 @@ OracleReport CheckTerminalState(const OracleInput& input) {
   };
 
   IndexDescriptor index;
-  Status s =
-      input.client->reader()->FindIndex(input.table, input.index_name, &index);
+  Status s = input.client->raw_client()->catalog().FindIndex(
+      input.table, input.index_name, &index);
   if (!s.ok()) {
     fail("oracle: FindIndex failed: " + s.ToString());
     return report;

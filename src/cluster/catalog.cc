@@ -170,4 +170,18 @@ uint64_t Catalog::epoch() const {
   return epoch_;
 }
 
+Status CatalogSnapshot::FindIndex(const std::string& table,
+                                  const std::string& index_name,
+                                  IndexDescriptor* index) const {
+  const TableDescriptor* desc = GetTable(table);
+  if (desc == nullptr) return Status::NotFound("no such table: " + table);
+  for (const auto& candidate : desc->indexes) {
+    if (candidate.name == index_name) {
+      *index = candidate;
+      return Status::OK();
+    }
+  }
+  return Status::NotFound("no such index: " + index_name + " on " + table);
+}
+
 }  // namespace diffindex

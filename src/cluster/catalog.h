@@ -108,6 +108,10 @@ class CatalogSnapshot {
     }
     return nullptr;
   }
+  // Copies the descriptor of `index_name` on `table` into *index;
+  // NotFound when either is missing.
+  Status FindIndex(const std::string& table, const std::string& index_name,
+                   IndexDescriptor* index) const;
   const std::vector<TableDescriptor>& tables() const { return tables_; }
 
  private:

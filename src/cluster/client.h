@@ -36,7 +36,7 @@ struct ClientOptions {
   // distinct clients desynchronize by default.
   uint64_t retry_jitter_seed = 0;
   // Observability sinks (either may be null); also inherited by the
-  // DiffIndexClient / IndexReader built on top of this client. Exports
+  // DiffIndexClient / ReadEngine built on top of this client. Exports
   // counters `client.retries` (every retry sleep) and
   // `client.retry_exhausted` (gave up after max_retries).
   obs::MetricsRegistry* metrics = nullptr;

@@ -6,29 +6,13 @@
 
 namespace diffindex {
 
-Status IndexBackfill::FindIndex(const std::string& base_table,
-                                const std::string& index_name,
-                                IndexDescriptor* index) {
-  CatalogSnapshot catalog = client_->catalog();
-  const TableDescriptor* table = catalog.GetTable(base_table);
-  if (table == nullptr) {
-    return Status::NotFound("no such table: " + base_table);
-  }
-  for (const auto& candidate : table->indexes) {
-    if (candidate.name == index_name) {
-      *index = candidate;
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("no such index: " + index_name);
-}
-
 Status IndexBackfill::Run(const std::string& base_table,
                           const std::string& index_name,
                           BackfillReport* report) {
   *report = BackfillReport{};
   IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(FindIndex(base_table, index_name, &index));
+  DIFFINDEX_RETURN_NOT_OK(
+      client_->catalog().FindIndex(base_table, index_name, &index));
 
   std::vector<std::string> columns;
   columns.push_back(index.column);
@@ -92,7 +76,8 @@ Status IndexBackfill::Verify(const std::string& base_table,
                              VerifyReport* report) {
   *report = VerifyReport{};
   IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(FindIndex(base_table, index_name, &index));
+  DIFFINDEX_RETURN_NOT_OK(
+      client_->catalog().FindIndex(base_table, index_name, &index));
   if (index.is_local) {
     return Status::NotSupported(
         "verify targets global indexes (local indexes are rebuilt from "
@@ -199,7 +184,8 @@ Status IndexBackfill::Cleanse(const std::string& base_table,
                               CleanseReport* report) {
   *report = CleanseReport{};
   IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(FindIndex(base_table, index_name, &index));
+  DIFFINDEX_RETURN_NOT_OK(
+      client_->catalog().FindIndex(base_table, index_name, &index));
 
   std::vector<std::string> columns;
   columns.push_back(index.column);

@@ -61,9 +61,6 @@ class IndexBackfill {
                 VerifyReport* report);
 
  private:
-  Status FindIndex(const std::string& base_table,
-                   const std::string& index_name, IndexDescriptor* index);
-
   static constexpr uint32_t kScanBatch = 512;
 
   std::shared_ptr<Client> client_;

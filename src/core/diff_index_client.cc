@@ -1,18 +1,33 @@
 #include "core/diff_index_client.h"
 
-#include "core/index_codec.h"
+#include <algorithm>
+#include <iterator>
+
+#include "query/engine.h"
 
 namespace diffindex {
+
+namespace {
+
+// Exact match as a value range: v is the only encoded value in
+// [v, v + 0x00).
+std::string ExactMatchEnd(const std::string& value_encoded) {
+  return value_encoded + '\0';
+}
+
+}  // namespace
 
 DiffIndexClient::DiffIndexClient(std::shared_ptr<Client> client,
                                  OpStats* stats,
                                  const SessionOptions& session_options)
     : client_(std::move(client)),
       stats_(stats),
-      reader_(client_, stats),
       sessions_(session_options),
+      engine_(std::make_unique<ReadEngine>(this)),
       metrics_(client_->metrics()),
       traces_(client_->traces()) {}
+
+DiffIndexClient::~DiffIndexClient() = default;
 
 std::string DiffIndexClient::SchemeTag(const std::string& table) {
   {
@@ -83,13 +98,83 @@ Status DiffIndexClient::GetRow(const std::string& table,
   return client_->GetRow(table, row, kMaxTimestamp, resp);
 }
 
+Status DiffIndexClient::ReadByIndex(const std::string& table,
+                                    const std::string& index_name,
+                                    const std::string& value_lo_encoded,
+                                    const std::string& value_hi_encoded,
+                                    uint32_t limit, SessionId session,
+                                    std::vector<IndexHit>* hits) {
+  hits->clear();
+  IndexDescriptor index;
+  DIFFINDEX_RETURN_NOT_OK(engine_->FindIndex(table, index_name, &index));
+  if (index.is_local) {
+    return BroadcastLocalRead(index, table, IndexRangeStart(value_lo_encoded),
+                              IndexRangeEnd(value_hi_encoded), limit, session,
+                              hits);
+  }
+  ScanSpec spec;
+  spec.table = table;
+  spec.index_name = index_name;
+  spec.value_lo_encoded = value_lo_encoded;
+  spec.value_hi_encoded = value_hi_encoded;
+  spec.limit = limit;
+  ScanOptions options;
+  // Legs run one after another on the calling thread: one walker per
+  // read, and every thread a read uses stays under the model checker.
+  options.max_parallel = 1;
+  options.session = session;
+  std::unique_ptr<IndexScanner> scanner;
+  DIFFINDEX_RETURN_NOT_OK(engine_->NewScan(spec, options, &scanner));
+  std::vector<IndexHit> page;
+  while (!scanner->exhausted()) {
+    DIFFINDEX_RETURN_NOT_OK(scanner->NextHits(&page));
+    hits->insert(hits->end(), std::make_move_iterator(page.begin()),
+                 std::make_move_iterator(page.end()));
+  }
+  return Status::OK();
+}
+
+Status DiffIndexClient::BroadcastLocalRead(const IndexDescriptor& index,
+                                           const std::string& table,
+                                           const std::string& start,
+                                           const std::string& end,
+                                           uint32_t limit, SessionId session,
+                                           std::vector<IndexHit>* hits) {
+  obs::SpanTimer span(metrics_, traces_, "index.broadcast_scan");
+  if (stats_ != nullptr) stats_->AddIndexRead();
+  std::vector<RawEntry> entries;
+  DIFFINDEX_RETURN_NOT_OK(client_->ScanLocalIndex(
+      table, index.name, start, end, kMaxTimestamp, limit, &entries));
+  hits->reserve(entries.size());
+  for (const auto& entry : entries) {
+    IndexHit hit;
+    if (!DecodeIndexRow(entry.key, &hit.value_encoded, &hit.base_row)) {
+      return Status::Corruption("malformed local index row");
+    }
+    hit.ts = entry.ts;
+    hits->push_back(std::move(hit));
+  }
+  // Per-region results arrive region by region; normalize the order.
+  std::sort(hits->begin(), hits->end(),
+            [](const IndexHit& a, const IndexHit& b) {
+              if (a.value_encoded != b.value_encoded) {
+                return a.value_encoded < b.value_encoded;
+              }
+              return a.base_row < b.base_row;
+            });
+  if (session == 0) return Status::OK();
+  return sessions_.MergeHits(session, index.index_table, start, end, hits,
+                             /*degraded=*/nullptr);
+}
+
 Status DiffIndexClient::GetByIndex(const std::string& table,
                                    const std::string& index_name,
                                    const std::string& value_encoded,
                                    std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("get_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.get_by_index");
-  return reader_.GetByIndex(table, index_name, value_encoded, hits);
+  return ReadByIndex(table, index_name, value_encoded,
+                     ExactMatchEnd(value_encoded), 0, 0, hits);
 }
 
 Status DiffIndexClient::RangeByIndex(const std::string& table,
@@ -100,8 +185,8 @@ Status DiffIndexClient::RangeByIndex(const std::string& table,
                                      std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("range_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.range_by_index");
-  return reader_.RangeByIndex(table, index_name, value_lo_encoded,
-                              value_hi_encoded, limit, hits);
+  return ReadByIndex(table, index_name, value_lo_encoded, value_hi_encoded,
+                     limit, 0, hits);
 }
 
 Status DiffIndexClient::QueryByIndex(const std::string& table,
@@ -114,18 +199,7 @@ Status DiffIndexClient::QueryByIndex(const std::string& table,
   std::vector<IndexHit> hits;
   DIFFINDEX_RETURN_NOT_OK(
       GetByIndex(table, index_name, value_encoded, &hits));
-  for (const IndexHit& hit : hits) {
-    GetRowResponse resp;
-    if (stats_ != nullptr) stats_->AddBaseRead();
-    DIFFINDEX_RETURN_NOT_OK(
-        client_->GetRow(table, hit.base_row, kMaxTimestamp, &resp));
-    if (!resp.found) continue;  // row deleted since the index read
-    ScannedRow row;
-    row.row = hit.base_row;
-    row.cells = std::move(resp.cells);
-    rows->push_back(std::move(row));
-  }
-  return Status::OK();
+  return engine_->FetchRows(table, hits, /*projection=*/{}, rows);
 }
 
 SessionId DiffIndexClient::GetSession() { return sessions_.CreateSession(); }
@@ -203,15 +277,8 @@ Status DiffIndexClient::SessionGetByIndex(SessionId session,
                                           std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("session_get_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.session_get_by_index");
-  IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(reader_.FindIndex(table, index_name, &index));
-  DIFFINDEX_RETURN_NOT_OK(
-      reader_.GetByIndex(table, index_name, value_encoded, hits));
-  // Merge the session's private view over the server results.
-  return sessions_.MergeHits(session, index.index_table,
-                             IndexScanStartForValue(value_encoded),
-                             IndexScanEndForValue(value_encoded), hits,
-                             /*degraded=*/nullptr);
+  return ReadByIndex(table, index_name, value_encoded,
+                     ExactMatchEnd(value_encoded), 0, session, hits);
 }
 
 Status DiffIndexClient::SessionRangeByIndex(
@@ -220,16 +287,10 @@ Status DiffIndexClient::SessionRangeByIndex(
     const std::string& value_hi_encoded, std::vector<IndexHit>* hits) {
   obs::ScopedTraceContext scope(OpContext("session_range_by_index", table));
   obs::SpanTimer span(metrics_, traces_, "client.session_range_by_index");
-  IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(reader_.FindIndex(table, index_name, &index));
   // No limit: a server-side limit would make the private-entry merge
   // ambiguous about what the cutoff hides.
-  DIFFINDEX_RETURN_NOT_OK(reader_.RangeByIndex(
-      table, index_name, value_lo_encoded, value_hi_encoded, 0, hits));
-  return sessions_.MergeHits(session, index.index_table,
-                             IndexRangeStart(value_lo_encoded),
-                             IndexRangeEnd(value_hi_encoded), hits,
-                             /*degraded=*/nullptr);
+  return ReadByIndex(table, index_name, value_lo_encoded, value_hi_encoded, 0,
+                     session, hits);
 }
 
 }  // namespace diffindex

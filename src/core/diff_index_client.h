@@ -7,10 +7,12 @@
 //   getFromIndex(s, table, colname, colvalue)
 //   end_session(s)
 //
-// Exact-match and range lookups dispatch per the index's scheme: plain
-// index scan for sync-full/async, double-check-and-clean (Algorithm 2)
-// for sync-insert, session-cache merge for async-session reads made
-// through a session.
+// Exact-match and range lookups run on the client's ReadEngine
+// (query/engine.h), which dispatches per the index's scheme: plain index
+// scan for sync-full/async, double-check-and-clean (Algorithm 2) for
+// sync-insert, session-cache merge for reads made through a session.
+// Local indexes are the exception: their reads are broadcast to every
+// base region.
 
 #ifndef DIFFINDEX_CORE_DIFF_INDEX_CLIENT_H_
 #define DIFFINDEX_CORE_DIFF_INDEX_CLIENT_H_
@@ -21,7 +23,8 @@
 #include <vector>
 
 #include "cluster/client.h"
-#include "core/index_read.h"
+#include "core/index_codec.h"
+#include "core/op_stats.h"
 #include "core/session.h"
 #include "obs/trace.h"
 #include "util/mutex.h"
@@ -29,11 +32,14 @@
 
 namespace diffindex {
 
+class ReadEngine;
+
 class DiffIndexClient {
  public:
   // stats may be null.
   DiffIndexClient(std::shared_ptr<Client> client, OpStats* stats = nullptr,
                   const SessionOptions& session_options = SessionOptions());
+  ~DiffIndexClient();
 
   // ---- Base table operations ----
 
@@ -93,7 +99,11 @@ class DiffIndexClient {
   // ---- Accessors ----
 
   Client* raw_client() { return client_.get(); }
-  IndexReader* reader() { return &reader_; }
+  // The read engine every index read of this client runs on; share it
+  // for scans (query/engine.h).
+  ReadEngine* engine() { return engine_.get(); }
+  // Former name of engine(), still called by perfbench/driver.cc.
+  ReadEngine* reader() { return engine(); }
   SessionManager* sessions() { return &sessions_; }
   OpStats* stats() { return stats_; }
 
@@ -107,10 +117,25 @@ class DiffIndexClient {
   // one is active (e.g. inside a StalenessProbe cycle), else a fresh root.
   obs::TraceContext OpContext(const char* op, const std::string& table);
 
+  // The index read behind GetByIndex, RangeByIndex and the session
+  // variants: entries with encoded value in [lo, hi) (hi "" = open),
+  // limit 0 = unlimited, session 0 = no session merge.
+  Status ReadByIndex(const std::string& table, const std::string& index_name,
+                     const std::string& value_lo_encoded,
+                     const std::string& value_hi_encoded, uint32_t limit,
+                     SessionId session, std::vector<IndexHit>* hits);
+
+  // Local-index read (Section 3.1): broadcast to every base region.
+  Status BroadcastLocalRead(const IndexDescriptor& index,
+                            const std::string& table,
+                            const std::string& start, const std::string& end,
+                            uint32_t limit, SessionId session,
+                            std::vector<IndexHit>* hits);
+
   std::shared_ptr<Client> client_;
   OpStats* const stats_;
-  IndexReader reader_;
   SessionManager sessions_;
+  std::unique_ptr<ReadEngine> engine_;
 
   // Observability sinks inherited from the underlying Client (may be
   // null).

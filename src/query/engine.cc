@@ -150,15 +150,45 @@ Status IndexScanner::GatherOnce(uint32_t budget, std::vector<RawEntry>* out,
 }
 
 Status IndexScanner::NextPage(ScanPage* page) {
-  page->hits.clear();
   page->rows.clear();
   page->covered = false;
+  Client* raw = engine_->client_->raw_client();
+  obs::SpanTimer span(raw->metrics(), raw->traces(), "query.page");
+  DIFFINDEX_RETURN_NOT_OK(CollectHits(&page->hits));
+
+  if (options_.allow_covered &&
+      CoveredProjectionEligible(index_, spec_.projection)) {
+    if (raw->metrics() != nullptr) {
+      raw->metrics()->GetCounter("query.covered")->Add();
+    }
+    page->rows.reserve(page->hits.size());
+    for (const auto& hit : page->hits) {
+      ScannedRow row;
+      if (!MaterializeCoveredRow(index_, spec_.projection, hit, &row)) {
+        return Status::Corruption("undecodable index entry for covered scan");
+      }
+      page->rows.push_back(std::move(row));
+    }
+    page->covered = true;
+    return Status::OK();
+  }
+  return engine_->FetchRows(spec_.table, page->hits, spec_.projection,
+                            &page->rows);
+}
+
+Status IndexScanner::NextHits(std::vector<IndexHit>* hits) {
+  Client* raw = engine_->client_->raw_client();
+  obs::SpanTimer span(raw->metrics(), raw->traces(), "query.page");
+  return CollectHits(hits);
+}
+
+Status IndexScanner::CollectHits(std::vector<IndexHit>* hits) {
+  hits->clear();
   if (exhausted_) return Status::OK();
 
   DiffIndexClient* client = engine_->client_;
   Client* raw = client->raw_client();
   obs::MetricsRegistry* metrics = raw->metrics();
-  obs::SpanTimer span(metrics, raw->traces(), "query.page");
 
   uint32_t budget = options_.page_entries == 0 ? 1 : options_.page_entries;
   if (spec_.limit != 0) {
@@ -166,12 +196,10 @@ Status IndexScanner::NextPage(ScanPage* page) {
         budget, static_cast<uint64_t>(spec_.limit) - returned_));
   }
 
-  const std::string page_start = cursor_;
   std::vector<RawEntry> merged;
   bool truncated = false;
-  Status gather = Status::OK();
   for (int attempt = 0;; attempt++) {
-    gather = GatherOnce(budget, &merged, &truncated);
+    Status gather = GatherOnce(budget, &merged, &truncated);
     if (gather.ok()) break;
     if (!(gather.IsWrongRegion() || gather.IsUnavailable()) ||
         attempt >= engine_->options_.max_page_retries) {
@@ -184,79 +212,49 @@ Status IndexScanner::NextPage(ScanPage* page) {
   }
 
   if (metrics != nullptr) metrics->GetCounter("query.pages")->Add();
+  if (client->stats() != nullptr) client->stats()->AddIndexRead();
 
-  returned_ += merged.size();
-  if (!merged.empty()) {
-    // Index rows contain no 0x00, so key + '\0' restarts strictly after
-    // the last returned entry while excluding nothing else.
-    cursor_ = merged.back().key + '\0';
-  }
-  if (!truncated || (spec_.limit != 0 && returned_ >= spec_.limit)) {
-    exhausted_ = true;
-  }
-
-  std::vector<IndexHit> hits;
-  hits.reserve(merged.size());
+  hits->reserve(merged.size());
   for (auto& entry : merged) {
     IndexHit hit;
     if (!DecodeIndexRow(entry.key, &hit.value_encoded, &hit.base_row)) {
-      continue;  // foreign key in the index keyspace; skip like ScanIndex
+      hits->clear();
+      return Status::Corruption("malformed index row in " +
+                                index_.index_table);
     }
     hit.ts = entry.ts;
-    hits.push_back(std::move(hit));
+    hits->push_back(std::move(hit));
   }
 
-  if (index_.scheme == IndexScheme::kSyncInsert && !hits.empty()) {
-    if (options_.batched_repair) {
-      DIFFINDEX_RETURN_NOT_OK(BatchedRepairHits(raw, client->stats(),
-                                                spec_.table, index_, &hits));
-    } else {
-      DIFFINDEX_RETURN_NOT_OK(SequentialRepairHits(
-          raw, client->stats(), spec_.table, index_, &hits));
-    }
+  // The page's effect on the cursor commits only once the page succeeds,
+  // so a failed page can be retried from its start.
+  const uint64_t returned = returned_ + merged.size();
+  // Index rows contain no 0x00, so key + '\0' restarts strictly after the
+  // last returned entry while excluding nothing else.
+  std::string next_cursor =
+      merged.empty() ? cursor_ : merged.back().key + '\0';
+  const bool exhausted =
+      !truncated || (spec_.limit != 0 && returned >= spec_.limit);
+
+  if (index_.scheme == IndexScheme::kSyncInsert) {
+    DIFFINDEX_RETURN_NOT_OK(
+        BatchedRepairHits(raw, client->stats(), spec_.table, index_, hits));
   }
 
   if (options_.session != 0) {
     // Page windows are disjoint and in index order, and MergeHits keeps
     // (value, base_row) order inside the window, so the merged stream
     // stays globally ordered.
-    const std::string& window_end = exhausted_ ? end_key_ : cursor_;
+    const std::string& window_end = exhausted ? end_key_ : next_cursor;
     bool degraded = false;
     DIFFINDEX_RETURN_NOT_OK(client->sessions()->MergeHits(
-        options_.session, index_.index_table, page_start, window_end, &hits,
+        options_.session, index_.index_table, cursor_, window_end, hits,
         &degraded));
   }
 
-  const bool covered =
-      options_.allow_covered && CoveredProjectionEligible(index_, spec_.projection);
-  if (covered) {
-    if (metrics != nullptr) metrics->GetCounter("query.covered")->Add();
-    page->rows.reserve(hits.size());
-    for (const auto& hit : hits) {
-      ScannedRow row;
-      if (!MaterializeCoveredRow(index_, spec_.projection, hit, &row)) {
-        return Status::Corruption("undecodable index entry for covered scan");
-      }
-      page->rows.push_back(std::move(row));
-    }
-    page->covered = true;
-  } else {
-    page->rows.reserve(hits.size());
-    for (const auto& hit : hits) {
-      GetRowResponse resp;
-      if (client->stats() != nullptr) client->stats()->AddBaseRead();
-      if (metrics != nullptr) metrics->GetCounter("query.base_reads")->Add();
-      DIFFINDEX_RETURN_NOT_OK(
-          raw->GetRow(spec_.table, hit.base_row, kMaxTimestamp, &resp));
-      if (!resp.found) continue;  // row vanished since the index scan
-      ScannedRow row;
-      row.row = hit.base_row;
-      row.cells = std::move(resp.cells);
-      ProjectCells(spec_.projection, &row);
-      page->rows.push_back(std::move(row));
-    }
-  }
-  page->hits = std::move(hits);
+  cursor_ = std::move(next_cursor);
+  returned_ = returned;
+  exhausted_ = exhausted;
   return Status::OK();
 }
 
@@ -289,11 +287,16 @@ void ReadEngine::BackoffBeforeRetry(int attempt) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+Status ReadEngine::FindIndex(const std::string& table,
+                             const std::string& index_name,
+                             IndexDescriptor* index) {
+  return client_->raw_client()->catalog().FindIndex(table, index_name, index);
+}
+
 Status ReadEngine::NewScan(const ScanSpec& spec, const ScanOptions& options,
                            std::unique_ptr<IndexScanner>* scanner) {
   IndexDescriptor index;
-  DIFFINDEX_RETURN_NOT_OK(
-      client_->reader()->FindIndex(spec.table, spec.index_name, &index));
+  DIFFINDEX_RETURN_NOT_OK(FindIndex(spec.table, spec.index_name, &index));
   if (index.is_local) {
     return Status::InvalidArgument(
         "scatter-gather scan requires a global index: " + spec.index_name);
@@ -327,6 +330,29 @@ Status ReadEngine::ScanByIndex(const ScanSpec& spec,
     if (hits != nullptr) {
       for (auto& hit : page.hits) hits->push_back(std::move(hit));
     }
+  }
+  return Status::OK();
+}
+
+Status ReadEngine::FetchRows(const std::string& table,
+                             const std::vector<IndexHit>& hits,
+                             const std::vector<std::string>& projection,
+                             std::vector<ScannedRow>* rows) {
+  Client* raw = client_->raw_client();
+  obs::MetricsRegistry* metrics = raw->metrics();
+  rows->reserve(rows->size() + hits.size());
+  for (const auto& hit : hits) {
+    GetRowResponse resp;
+    if (client_->stats() != nullptr) client_->stats()->AddBaseRead();
+    if (metrics != nullptr) metrics->GetCounter("query.base_reads")->Add();
+    DIFFINDEX_RETURN_NOT_OK(
+        raw->GetRow(table, hit.base_row, kMaxTimestamp, &resp));
+    if (!resp.found) continue;  // row vanished since the index read
+    ScannedRow row;
+    row.row = hit.base_row;
+    row.cells = std::move(resp.cells);
+    ProjectCells(projection, &row);
+    rows->push_back(std::move(row));
   }
   return Status::OK();
 }

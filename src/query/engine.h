@@ -1,10 +1,12 @@
 // Read-side query engine: paged, resumable index range scans that fan
-// out in parallel across the index regions covering the key range
-// (scatter-gather), with covered-index projections (query/covered.h) and
-// batched read-repair for sync-insert (query/read_repair.h).
+// out across the index regions covering the key range (scatter-gather),
+// with covered-index projections (query/covered.h) and batched
+// read-repair for sync-insert (query/read_repair.h).
 //
-// The legacy read path (IndexReader::RangeByIndex) walks index regions
-// one at a time from a single thread; the engine instead issues one
+// This is the library's one index read path: DiffIndexClient's
+// GetByIndex, RangeByIndex and their session variants run on the
+// client's engine too (hits only, legs inline), and local indexes are
+// the one exception (core/diff_index_client.cc). A page issues one
 // kIndexScan leg per overlapping region, merges the legs in region order
 // (regions partition the keyspace, so the merge is a concatenation), and
 // exposes the result a page at a time behind a resumable cursor.
@@ -15,9 +17,9 @@
 // page-granular retry is safe.
 //
 // Observability: counters query.pages / query.legs / query.covered /
-// query.base_reads, span stages query.page and query.repair, and the
-// fault seam DIFFINDEX_FAILPOINT("query.merge") between leg gather and
-// merge.
+// query.base_reads, one Table-2 index read (io.index_read) per page,
+// span stages query.page and query.repair, and the fault seam
+// DIFFINDEX_FAILPOINT("query.merge") between leg gather and merge.
 
 #ifndef DIFFINDEX_QUERY_ENGINE_H_
 #define DIFFINDEX_QUERY_ENGINE_H_
@@ -45,8 +47,7 @@ struct ScanSpec {
   // from the index entries alone — zero base reads.
   std::vector<std::string> projection;
   // Total index entries scanned across all pages; 0 = unlimited. Counted
-  // before read-repair drops stale entries, matching
-  // IndexReader::RangeByIndex's limit semantics.
+  // before read-repair drops stale entries.
   uint32_t limit = 0;
 };
 
@@ -58,9 +59,6 @@ struct ScanOptions {
   // whose scheduler cannot control pool threads.
   int max_parallel = 4;
   bool allow_covered = true;
-  // Sync-insert verification: per-server MultiGet batches (true) or the
-  // sequential per-hit reference path (false).
-  bool batched_repair = true;
   // Non-zero: merge this session's private entries into each page
   // (session consistency, Section 5.2). The merge can add entries beyond
   // page_entries/limit — a server-side limit would make the private-entry
@@ -98,10 +96,14 @@ class IndexScanner {
  public:
   // Next page of results; an empty page with exhausted()==true means the
   // range is done. Retries layout/availability errors internally; other
-  // errors (including armed query.merge failpoints) surface to the
-  // caller, leaving the cursor at the failed page's start so the same
-  // page can be retried.
+  // errors (including armed query.merge failpoints and Corruption for an
+  // undecodable index row) surface to the caller, leaving the cursor at
+  // the failed page's start so the same page can be retried.
   Status NextPage(ScanPage* page);
+
+  // NextPage without row materialisation: the page's verified hits only
+  // (gather, decode, sync-insert repair, session merge).
+  Status NextHits(std::vector<IndexHit>* hits);
 
   bool exhausted() const { return exhausted_; }
 
@@ -115,6 +117,10 @@ class IndexScanner {
   friend class ReadEngine;
   IndexScanner(ReadEngine* engine, const ScanSpec& spec,
                const ScanOptions& options, const IndexDescriptor& index);
+
+  // The hits step shared by NextPage and NextHits, outside their
+  // query.page span.
+  Status CollectHits(std::vector<IndexHit>* hits);
 
   // One scatter-gather round: fans a leg out per index region overlapping
   // [cursor_, end_key_), merges in region order into `out` (at most
@@ -142,6 +148,10 @@ class ReadEngine {
   ReadEngine(const ReadEngine&) = delete;
   ReadEngine& operator=(const ReadEngine&) = delete;
 
+  // Looks `index_name` on `table` up in the client's cached catalog.
+  Status FindIndex(const std::string& table, const std::string& index_name,
+                   IndexDescriptor* index);
+
   // Resolves the index and returns a scanner positioned at the range
   // start. Fails if the index does not exist or is local (local indexes
   // keep their broadcast path — their entries live inside base regions,
@@ -155,7 +165,13 @@ class ReadEngine {
                      std::vector<ScannedRow>* rows,
                      std::vector<IndexHit>* hits = nullptr);
 
-  DiffIndexClient* client() { return client_; }
+  // The base-row fetch behind every uncovered read: one GetRow per hit,
+  // rows that vanished since the index read skipped, each row cut to
+  // `projection` (empty = all columns). Appends to *rows.
+  Status FetchRows(const std::string& table,
+                   const std::vector<IndexHit>& hits,
+                   const std::vector<std::string>& projection,
+                   std::vector<ScannedRow>* rows);
 
  private:
   friend class IndexScanner;

@@ -1,19 +1,19 @@
-// Read-repair for sync-insert index scans (Algorithm 2's
+// Read-repair for sync-insert index reads (Algorithm 2's
 // double-check-and-clean), in two flavors:
 //
+//   BatchedRepairHits — the one the library runs, per read-engine page:
+//     all verification reads of a page grouped into per-server MultiGet
+//     batches (one RPC per base region instead of K round trips), and
+//     all stale-entry tombstones shipped as one MultiPutBatch.
 //   SequentialRepairHits — the reference: one GetCell round trip per
-//     (hit, column), exactly mirroring IndexReader::RepairHits.
-//   BatchedRepairHits — the query engine's path: all verification reads
-//     of a page grouped into per-server MultiGet batches (one RPC per
-//     base region instead of K round trips), and all stale-entry
-//     tombstones shipped as one MultiPutBatch.
+//     (hit, column), Algorithm 2 written out literally.
 //
 // Both classify identically: a hit survives iff its base row still
 // carries the indexed value the entry advertises; stale entries are
 // removed from `hits` and best-effort deleted from the index table at
 // the entry's own timestamp (a tombstone there cannot mask any newer
-// entry). The only difference is RPC count — proven byte-identical by
-// tests/query/read_equivalence_test.cc.
+// entry). The only difference is RPC count — proven by the twin-cluster
+// test in tests/query/read_equivalence_test.cc.
 
 #ifndef DIFFINDEX_QUERY_READ_REPAIR_H_
 #define DIFFINDEX_QUERY_READ_REPAIR_H_
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "cluster/client.h"
-#include "core/index_read.h"
+#include "core/index_codec.h"
 #include "core/op_stats.h"
 
 namespace diffindex {
@@ -38,7 +38,7 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
 
 // Unbatched reference with the same metrics: one GetCell per (hit,
 // column), early-out on the first missing column, one Put per stale
-// entry — the RPC profile of IndexReader::RepairHits.
+// entry.
 Status SequentialRepairHits(Client* client, OpStats* stats,
                             const std::string& base_table,
                             const IndexDescriptor& index,

@@ -170,7 +170,7 @@ Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
                                     const RunnerOptions& options,
                                     Client* raw_client,
                                     DiffIndexClient* client,
-                                    ReadEngine* engine, Random* rng) {
+                                    Random* rng) {
   switch (op) {
     case WorkloadOp::kUpdateTitle: {
       const uint64_t version =
@@ -230,9 +230,8 @@ Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
       scan.page_entries = options.scan_page_entries;
       scan.max_parallel = options.scan_parallel;
       scan.allow_covered = options.scan_covered;
-      scan.batched_repair = options.scan_batched_repair;
       std::vector<ScannedRow> rows;
-      return engine->ScanByIndex(spec, scan, &rows);
+      return client->engine()->ScanByIndex(spec, scan, &rows);
     }
     case WorkloadOp::kScanTableRange: {
       std::vector<ScannedRow> rows;
@@ -250,9 +249,6 @@ void WorkloadRunner::WorkerLoop(const RunnerOptions& options,
                                 Clock::time_point run_start) {
   auto raw_client = cluster_->NewClient();
   DiffIndexClient client(raw_client, cluster_->stats());
-  // Cheap when unused: the engine only spawns its leg pool on the first
-  // parallel scan.
-  ReadEngine engine(&client);
   // Per-op latencies also land in the cluster registry; instruments are
   // resolved once per worker (the loop body stays lock-free).
   const std::vector<MixSlot> slots =
@@ -307,7 +303,7 @@ void WorkloadRunner::WorkerLoop(const RunnerOptions& options,
     const uint64_t id = chooser->Next();
     const auto op_start = Clock::now();
     Status s = ExecuteOneOp(slot->op, id, options, raw_client.get(),
-                            &client, &engine, &rng);
+                            &client, &rng);
     const uint64_t latency_micros =
         static_cast<uint64_t>(std::chrono::duration_cast<
                                   std::chrono::microseconds>(Clock::now() -

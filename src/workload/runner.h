@@ -22,7 +22,6 @@
 namespace diffindex {
 
 class DiffIndexClient;
-class ReadEngine;
 
 enum class WorkloadOp {
   kUpdateTitle,     // write a new item_title version (1 indexed column)
@@ -71,7 +70,6 @@ struct RunnerOptions {
   uint32_t scan_page_entries = 128;
   int scan_parallel = 4;
   bool scan_covered = false;
-  bool scan_batched_repair = true;
   // Rows per kScanTableRange scan.
   uint32_t scan_rows = 64;
   uint64_t seed = 1;
@@ -119,8 +117,7 @@ class WorkloadRunner {
   // and recency state for write ops.
   Status ExecuteOneOp(WorkloadOp op, uint64_t id,
                       const RunnerOptions& options, Client* raw_client,
-                      DiffIndexClient* client, ReadEngine* engine,
-                      Random* rng);
+                      DiffIndexClient* client, Random* rng);
 
   Cluster* const cluster_;
   const ItemTable* const items_;

@@ -234,8 +234,10 @@ void RunPolicyWorkload(AuqOverflowPolicy policy, size_t max_depth,
   for (int v = 0; v < kNumValues; v++) {
     const std::string value = ValueName(v);
     IndexDescriptor found;
-    ASSERT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+    ASSERT_TRUE(client->raw_client()
+                    ->catalog()
+                    .FindIndex("items", "by_title", &found)
+                    .ok());
     std::vector<ScannedRow> rows;
     ASSERT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,
@@ -399,8 +401,10 @@ TEST(ChaosTest, CrashMidShedConvergesAfterRecovery) {
   for (int v = 0; v < kNumValues; v++) {
     const std::string value = ValueName(v);
     IndexDescriptor found;
-    ASSERT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+    ASSERT_TRUE(client->raw_client()
+                    ->catalog()
+                    .FindIndex("items", "by_title", &found)
+                    .ok());
     std::vector<ScannedRow> rows;
     ASSERT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,

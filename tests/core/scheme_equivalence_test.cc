@@ -120,8 +120,10 @@ IndexState RunWorkload(const RunConfig& config, uint64_t seed) {
   for (int v = 0; v < kNumValues; v++) {
     const std::string value = ValueName(v);
     IndexDescriptor found;
-    EXPECT_TRUE(
-        client->reader()->FindIndex("items", "by_title", &found).ok());
+    EXPECT_TRUE(client->raw_client()
+                    ->catalog()
+                    .FindIndex("items", "by_title", &found)
+                    .ok());
     std::vector<ScannedRow> rows;
     EXPECT_TRUE(client->raw_client()
                     ->ScanRows(found.index_table,

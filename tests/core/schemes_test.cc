@@ -13,6 +13,7 @@
 #include "cluster/cluster.h"
 #include "core/backfill.h"
 #include "core/index_codec.h"
+#include "query/engine.h"
 #include "util/random.h"
 
 namespace diffindex {
@@ -70,8 +71,10 @@ class SchemesTest : public ::testing::Test {
                                      const std::string& index_name,
                                      const std::string& value) {
     IndexDescriptor index;
-    EXPECT_TRUE(
-        client_->reader()->FindIndex(table, index_name, &index).ok());
+    EXPECT_TRUE(client_->raw_client()
+                    ->catalog()
+                    .FindIndex(table, index_name, &index)
+                    .ok());
     std::vector<ScannedRow> rows;
     EXPECT_TRUE(client_->raw_client()
                     ->ScanRows(index.index_table,
@@ -570,6 +573,26 @@ TEST_F(SchemesTest, Table2CostsSyncInsert) {
   EXPECT_EQ(s.index_read, 1u);
   EXPECT_GE(s.base_read, 1u);   // double-check of the stale entry
   EXPECT_GE(s.index_put, 3u);   // repair delete
+}
+
+// A scan is an index read too: one per page, plus one base read per
+// fetched row.
+TEST_F(SchemesTest, Table2CostsScanByIndex) {
+  CreateIndexedTable("items", IndexScheme::kSyncFull);
+  ASSERT_TRUE(client_->PutColumn("items", "aa-1", "title", "v1").ok());
+  ASSERT_TRUE(client_->PutColumn("items", "bb-2", "title", "v2").ok());
+  cluster_->stats()->Reset();
+  ReadEngine engine(client_.get());
+  ScanSpec spec;
+  spec.table = "items";
+  spec.index_name = "by_title";
+  std::vector<ScannedRow> rows;
+  ASSERT_TRUE(engine.ScanByIndex(spec, ScanOptions(), &rows).ok());
+  ASSERT_EQ(rows.size(), 2u);
+  OpStats::Snapshot s = cluster_->stats()->snapshot();
+  EXPECT_EQ(s.index_read, 1u);  // one page
+  EXPECT_EQ(s.base_read, 2u);   // the row fetches
+  EXPECT_EQ(s.index_put, 0u);
 }
 
 TEST_F(SchemesTest, Table2CostsAsyncSimple) {

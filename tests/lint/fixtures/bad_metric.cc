@@ -7,7 +7,7 @@
 namespace diffindex {
 
 void FixtureBadMetric(obs::MetricsRegistry* metrics) {
-  metrics->GetCounter("index.read")->Add();       // documented: clean
+  metrics->GetCounter("query.pages")->Add();      // documented: clean
   metrics->GetCounter("index.mystery")->Add();    // violation
   metrics->GetCounter(DynamicName());             // no literal: skipped
 }

@@ -17,7 +17,7 @@ class FixtureClean {
              bool fg) {
     DIFFINDEX_FAILPOINT("index.put");
     obs::SpanTimer span(metrics, traces, "aps.task");
-    metrics->GetCounter("index.read")->Add();
+    metrics->GetCounter("query.pages")->Add();
     // A dynamic suffix on a documented wildcard row is fine.
     metrics->GetCounter("fault.injected." + task.index.index_table)->Add();
     MutexLock lock(mu_);

@@ -1,11 +1,14 @@
-// Differential read-equivalence suite (DESIGN.md §13): the read engine's
-// scatter-gather/covered/batched-repair paths must be observationally
-// identical to the legacy sequential read path on the same final state —
-// same verified hits (row, value, ts), same materialized rows
-// (column/value/ts byte-identity) — under every maintenance scheme, for
-// the same seeded workload. And for sync-insert, batched read-repair run
-// on one cluster must leave the raw index table in exactly the state
-// sequential repair leaves on a twin cluster that replayed the same
+// Differential read-equivalence suite (DESIGN.md §13): every index read
+// path — the engine's uncovered and covered scans and the client's
+// RangeByIndex / GetByIndex — must agree with an independent reference
+// built without the engine on the same final state: the workload's model
+// of current values, the raw index keyspace (for entry timestamps) and
+// one raw GetRow per expected row. Same verified hits (row, value, ts),
+// same materialized rows (column/value/ts byte-identity), under every
+// maintenance scheme, for the same seeded workload. And for sync-insert,
+// the engine's batched read-repair run on one cluster must leave the raw
+// index table in exactly the state the sequential reference repair
+// (SequentialRepairHits) leaves on a twin cluster that replayed the same
 // trace.
 //
 // The workload writes the indexed column and the stored extra column in
@@ -26,6 +29,7 @@
 #include "cluster/cluster.h"
 #include "core/index_codec.h"
 #include "query/engine.h"
+#include "query/read_repair.h"
 #include "util/random.h"
 
 namespace diffindex {
@@ -41,6 +45,16 @@ constexpr int kOpsPerRun = 120;
 
 std::string ValueName(int v) { return "v" + std::to_string(v); }
 
+std::string NoteFor(const std::string& row, const std::string& value) {
+  return "n-" + row + "-" + value;
+}
+
+// The composite index value of a row whose title is `value`: (title,
+// note), and the workload writes both in one put.
+std::string EncodedValue(const std::string& row, const std::string& value) {
+  return EncodeCompositeIndexValue({value, NoteFor(row, value)});
+}
+
 std::string RowName(Random* rng) {
   char buf[24];
   const uint32_t r = rng->Uniform(kKeySpace);
@@ -52,6 +66,7 @@ struct TestCluster {
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<DiffIndexClient> client;
   IndexDescriptor index;
+  std::map<std::string, std::string> model;  // row -> current value
 };
 
 // Builds a cluster and replays the seed's op trace: indexed puts
@@ -71,11 +86,13 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
   index.extra_columns = {kExtra};
   ASSERT_TRUE(tc->cluster->master()->CreateIndex(kTable, index).ok());
   ASSERT_TRUE(tc->client->raw_client()->RefreshLayout().ok());
-  ASSERT_TRUE(
-      tc->client->reader()->FindIndex(kTable, kIndex, &tc->index).ok());
+  ASSERT_TRUE(tc->client->raw_client()
+                  ->catalog()
+                  .FindIndex(kTable, kIndex, &tc->index)
+                  .ok());
 
   Random rng(static_cast<uint32_t>(seed));
-  std::map<std::string, std::string> model;  // row -> current value
+  std::map<std::string, std::string>& model = tc->model;
   for (int i = 0; i < kOpsPerRun; i++) {
     const std::string row = RowName(&rng);
     const uint32_t dice = rng.Uniform(10);
@@ -92,7 +109,7 @@ void RunWorkload(IndexScheme scheme, uint64_t seed, TestCluster* tc) {
       ASSERT_TRUE(tc->client
                       ->Put(kTable, row,
                             {Cell{kColumn, value, false},
-                             Cell{kExtra, "n-" + row + "-" + value, false}})
+                             Cell{kExtra, NoteFor(row, value), false}})
                       .ok());
       model[row] = value;
     }
@@ -148,18 +165,68 @@ void ExpectSameRows(const std::vector<ScannedRow>& got,
   }
 }
 
-// The sequential reference: RangeByIndex (scheme-dispatched, repairs for
-// sync-insert) + one GetRow per hit, projected to {note, title} in
-// column order.
-void SequentialReadPath(TestCluster* tc, std::vector<IndexHit>* hits,
-                        std::vector<ScannedRow>* rows) {
-  ASSERT_TRUE(
-      tc->client->RangeByIndex(kTable, kIndex, "", "", 0, hits).ok());
+// Every entry physically in the index table, decoded, in index order —
+// a raw scan of the index keyspace: no engine, no repair, no filtering.
+std::vector<IndexHit> RawIndexEntries(TestCluster* tc) {
+  std::vector<ScannedRow> raw;
+  EXPECT_TRUE(tc->client->raw_client()
+                  ->ScanRows(tc->index.index_table, "", "", kMaxTimestamp,
+                             0, &raw)
+                  .ok());
+  std::vector<IndexHit> entries;
+  for (const ScannedRow& row : raw) {
+    IndexHit hit;
+    EXPECT_TRUE(DecodeIndexRow(row.row, &hit.value_encoded, &hit.base_row))
+        << row.row;
+    // Key-only entries carry one anonymous cell whose ts is the entry ts.
+    hit.ts = row.cells.empty() ? 0 : row.cells[0].ts;
+    entries.push_back(std::move(hit));
+  }
+  return entries;
+}
+
+std::set<std::pair<std::string, std::string>> RawIndexState(
+    TestCluster* tc) {
+  std::set<std::pair<std::string, std::string>> state;
+  for (const IndexHit& hit : RawIndexEntries(tc)) {
+    state.emplace(hit.value_encoded, hit.base_row);
+  }
+  return state;
+}
+
+std::set<std::pair<std::string, std::string>> ModelState(
+    const TestCluster& tc) {
+  std::set<std::pair<std::string, std::string>> state;
+  for (const auto& [row, value] : tc.model) {
+    state.emplace(EncodedValue(row, value), row);
+  }
+  return state;
+}
+
+// The independent reference: the raw index entries the model says are
+// current (stale sync-insert entries drop out here, exactly what repair
+// must filter), and one raw GetRow per such row projected to
+// {note, title} in column order.
+void ReferenceRead(TestCluster* tc, std::vector<IndexHit>* hits,
+                   std::vector<ScannedRow>* rows) {
+  hits->clear();
+  for (IndexHit& hit : RawIndexEntries(tc)) {
+    auto it = tc->model.find(hit.base_row);
+    if (it == tc->model.end() ||
+        EncodedValue(it->first, it->second) != hit.value_encoded) {
+      continue;
+    }
+    hits->push_back(std::move(hit));
+  }
+  // No lost entries: every current (value, row) has its index entry.
+  ASSERT_EQ(hits->size(), tc->model.size());
   rows->clear();
   for (const IndexHit& hit : *hits) {
     GetRowResponse resp;
-    ASSERT_TRUE(tc->client->GetRow(kTable, hit.base_row, &resp).ok());
-    if (!resp.found) continue;
+    ASSERT_TRUE(tc->client->raw_client()
+                    ->GetRow(kTable, hit.base_row, kMaxTimestamp, &resp)
+                    .ok());
+    ASSERT_TRUE(resp.found) << hit.base_row;
     ScannedRow row;
     row.row = hit.base_row;
     for (const RowCell& cell : resp.cells) {
@@ -171,27 +238,13 @@ void SequentialReadPath(TestCluster* tc, std::vector<IndexHit>* hits,
   }
 }
 
-std::set<std::pair<std::string, std::string>> RawIndexState(
-    TestCluster* tc) {
-  std::vector<ScannedRow> raw;
-  EXPECT_TRUE(tc->client->raw_client()
-                  ->ScanRows(tc->index.index_table, "", "", kMaxTimestamp,
-                             0, &raw)
-                  .ok());
-  std::set<std::pair<std::string, std::string>> state;
-  for (const ScannedRow& entry : raw) {
-    std::string value, row;
-    EXPECT_TRUE(DecodeIndexRow(entry.row, &value, &row)) << entry.row;
-    state.emplace(value, row);
-  }
-  return state;
-}
-
 class ReadEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// All engine read paths — uncovered+batched, uncovered+sequential-repair,
-// covered — agree byte-for-byte with the legacy sequential path, on the
-// same settled cluster, under every scheme.
+// All read paths — uncovered scan, covered scan, RangeByIndex and
+// per-value GetByIndex — agree byte-for-byte with the reference, on the
+// same settled cluster, under every scheme. For sync-insert the repair
+// runs first on the uncovered scan and every later path reads the
+// repaired index.
 TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
   const uint64_t seed = 0x5CA11ED0ULL + static_cast<uint64_t>(GetParam());
   for (IndexScheme scheme :
@@ -203,7 +256,7 @@ TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
 
     std::vector<IndexHit> ref_hits;
     std::vector<ScannedRow> ref_rows;
-    SequentialReadPath(&tc, &ref_hits, &ref_rows);
+    ReferenceRead(&tc, &ref_hits, &ref_rows);
     ASSERT_FALSE(ref_hits.empty());
 
     ReadEngine engine(tc.client.get());
@@ -218,35 +271,44 @@ TEST_P(ReadEquivalenceTest, EnginePathsMatchSequentialReadPath) {
     std::vector<ScannedRow> rows;
     std::vector<IndexHit> hits;
     ASSERT_TRUE(engine.ScanByIndex(spec, uncovered, &rows, &hits).ok());
-    ExpectSameHits(hits, ref_hits, "uncovered+batched");
-    ExpectSameRows(rows, ref_rows, "uncovered+batched");
-
-    ScanOptions seq_repair = uncovered;
-    seq_repair.batched_repair = false;
-    ASSERT_TRUE(engine.ScanByIndex(spec, seq_repair, &rows, &hits).ok());
-    ExpectSameHits(hits, ref_hits, "uncovered+seq-repair");
-    ExpectSameRows(rows, ref_rows, "uncovered+seq-repair");
+    ExpectSameHits(hits, ref_hits, "uncovered");
+    ExpectSameRows(rows, ref_rows, "uncovered");
 
     ScanOptions covered;
     covered.page_entries = 5;
     ASSERT_TRUE(engine.ScanByIndex(spec, covered, &rows, &hits).ok());
     ExpectSameHits(hits, ref_hits, "covered");
     ExpectSameRows(rows, ref_rows, "covered");
+
+    ASSERT_TRUE(
+        tc.client->RangeByIndex(kTable, kIndex, "", "", 0, &hits).ok());
+    ExpectSameHits(hits, ref_hits, "range_by_index");
+
+    // The note makes every composite value unique to its row, so each
+    // exact match returns exactly that row's entry.
+    for (const IndexHit& want : ref_hits) {
+      ASSERT_TRUE(
+          tc.client->GetByIndex(kTable, kIndex, want.value_encoded, &hits)
+              .ok());
+      ExpectSameHits(hits, {want}, "get_by_index");
+    }
   }
 }
 
-// Twin clusters replay the same sync-insert trace; one is read through
-// the sequential repair path, the other through the engine's batched
-// repair. Both must report the same verified entries and both must leave
-// the raw index table in the same (fully repaired) state.
+// Twin clusters replay the same sync-insert trace; one is repaired by
+// the sequential reference routine over a raw index scan, the other read
+// through the engine's batched repair. Both must report the model's
+// entries and both must leave the raw index table in the same (fully
+// repaired) state.
 TEST_P(ReadEquivalenceTest, BatchedRepairConvergesLikeSequential) {
   const uint64_t seed = 0xBA7C4EDULL + static_cast<uint64_t>(GetParam());
 
   TestCluster sequential;
   RunWorkload(IndexScheme::kSyncInsert, seed, &sequential);
-  std::vector<IndexHit> seq_hits;
-  ASSERT_TRUE(sequential.client
-                  ->RangeByIndex(kTable, kIndex, "", "", 0, &seq_hits)
+  std::vector<IndexHit> seq_hits = RawIndexEntries(&sequential);
+  ASSERT_TRUE(SequentialRepairHits(sequential.client->raw_client(),
+                                   /*stats=*/nullptr, kTable,
+                                   sequential.index, &seq_hits)
                   .ok());
 
   TestCluster batched;
@@ -257,7 +319,6 @@ TEST_P(ReadEquivalenceTest, BatchedRepairConvergesLikeSequential) {
   spec.index_name = kIndex;
   ScanOptions options;
   options.page_entries = 7;
-  options.batched_repair = true;
   std::vector<ScannedRow> rows;
   std::vector<IndexHit> bat_hits;
   ASSERT_TRUE(engine.ScanByIndex(spec, options, &rows, &bat_hits).ok());
@@ -272,6 +333,7 @@ TEST_P(ReadEquivalenceTest, BatchedRepairConvergesLikeSequential) {
     bat_set.emplace(hit.value_encoded, hit.base_row);
   }
   EXPECT_EQ(bat_set, seq_set);
+  EXPECT_EQ(bat_set, ModelState(batched));
 
   // Both repair styles deleted the same stale entries: the raw index
   // keyspaces are identical and contain exactly the verified entries.

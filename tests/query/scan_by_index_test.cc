@@ -1,8 +1,8 @@
 // Read-engine scan tests (DESIGN.md §13): paged scatter-gather index
-// range scans checked against the legacy single-walker read path
-// (IndexReader::RangeByIndex), cursor resumability across scanner
-// instances, covered projections (zero base reads), batched read-repair
-// for sync-insert, and fault handling at the merge seam and on the wire.
+// range scans checked against a raw scan of the index keyspace, cursor
+// resumability across scanner instances, covered projections (zero base
+// reads), batched read-repair for sync-insert, Corruption on malformed
+// index rows, and fault handling at the merge seam and on the wire.
 //
 // Indexed values here are plain hex-prefixed strings: they contain no
 // 0x00/0x01 bytes, so the codec escape leaves them untouched and the
@@ -50,8 +50,10 @@ class ScanByIndexTest : public ::testing::Test {
     index.extra_columns = std::move(extra_columns);
     ASSERT_TRUE(cluster_->master()->CreateIndex(kTable, index).ok());
     ASSERT_TRUE(client_->raw_client()->RefreshLayout().ok());
-    ASSERT_TRUE(
-        client_->reader()->FindIndex(kTable, kIndex, &index_).ok());
+    ASSERT_TRUE(client_->raw_client()
+                    ->catalog()
+                    .FindIndex(kTable, kIndex, &index_)
+                    .ok());
   }
 
   static std::string RowName(int i) {
@@ -83,12 +85,25 @@ class ScanByIndexTest : public ::testing::Test {
     }
   }
 
+  // Independent reference: a raw scan of the index keyspace for values
+  // in [lo, hi), decoded — no engine, no repair (the sync-full index here
+  // holds exactly the current entries).
   std::vector<IndexHit> Reference(const std::string& lo,
-                                  const std::string& hi,
-                                  uint32_t limit = 0) {
+                                  const std::string& hi) {
+    std::vector<ScannedRow> raw;
+    EXPECT_TRUE(client_->raw_client()
+                    ->ScanRows(index_.index_table, IndexRangeStart(lo),
+                               IndexRangeEnd(hi), kMaxTimestamp, 0, &raw)
+                    .ok());
     std::vector<IndexHit> hits;
-    EXPECT_TRUE(
-        client_->RangeByIndex(kTable, kIndex, lo, hi, limit, &hits).ok());
+    for (const ScannedRow& row : raw) {
+      IndexHit hit;
+      EXPECT_TRUE(DecodeIndexRow(row.row, &hit.value_encoded, &hit.base_row))
+          << row.row;
+      // Key-only entries carry one anonymous cell whose ts is the entry ts.
+      hit.ts = row.cells.empty() ? 0 : row.cells[0].ts;
+      hits.push_back(std::move(hit));
+    }
     return hits;
   }
 
@@ -118,7 +133,7 @@ class ScanByIndexTest : public ::testing::Test {
   IndexDescriptor index_;
 };
 
-// The scatter-gather engine and the sequential single-walker path are
+// The scatter-gather engine and a raw scan of the index keyspace are
 // observationally identical: same hits, same order, same timestamps —
 // full range and bounded sub-range (the bounds cut across index-table
 // region boundaries).
@@ -162,7 +177,7 @@ TEST_F(ScanByIndexTest, ScatterGatherMatchesSequentialReference) {
 }
 
 // Small pages: the cursor walks the range in page_entries steps and the
-// concatenation of pages equals the one-shot reference. A cursor token
+// concatenation of pages equals the raw reference. A cursor token
 // persisted mid-scan resumes an entirely fresh scanner at exactly the
 // next entry.
 TEST_F(ScanByIndexTest, PagedCursorResumesAcrossScannerInstances) {
@@ -413,7 +428,6 @@ TEST_F(ScanByIndexTest, BatchedRepairFiltersAndDeletesStaleEntries) {
   ReadEngine engine(client_.get());
   ScanOptions options;
   options.page_entries = 7;  // repair runs per page
-  options.batched_repair = true;
   std::vector<ScannedRow> rows;
   std::vector<IndexHit> hits;
   ASSERT_TRUE(engine.ScanByIndex(Spec(), options, &rows,
@@ -448,8 +462,8 @@ TEST_F(ScanByIndexTest, BatchedRepairFiltersAndDeletesStaleEntries) {
   EXPECT_EQ(remaining, expected_set);
 }
 
-// limit counts scanned index entries across pages (the RangeByIndex
-// semantics), independent of page size.
+// limit counts scanned index entries across pages, independent of page
+// size.
 TEST_F(ScanByIndexTest, LimitCountsScannedEntriesAcrossPages) {
   Setup(IndexScheme::kSyncFull);
   LoadRows(30);
@@ -469,9 +483,9 @@ TEST_F(ScanByIndexTest, LimitCountsScannedEntriesAcrossPages) {
 }
 
 // Session-consistent scan (Section 5.2): the page merge against the
-// session's private entries makes the engine agree with
-// SessionRangeByIndex — and with the ground truth — no matter how much
-// of the AUQ backlog has drained.
+// session's private entries makes the engine — and the client's
+// SessionRangeByIndex, which runs on it — agree with the ground truth no
+// matter how much of the AUQ backlog has drained.
 TEST_F(ScanByIndexTest, SessionScanMergesPrivateEntries) {
   Setup(IndexScheme::kAsyncSession);
   const SessionId session = client_->GetSession();
@@ -509,8 +523,36 @@ TEST_F(ScanByIndexTest, SessionScanMergesPrivateEntries) {
   for (const IndexHit& hit : reference) {
     ref.emplace(hit.value_encoded, hit.base_row);
   }
-  EXPECT_EQ(got, ref);
+  EXPECT_EQ(ref, truth);
   client_->EndSession(session);
+}
+
+// An index row that does not decode is Corruption on every read path —
+// the exact-match read that covers its key and a scan over it — never a
+// silently skipped entry.
+TEST_F(ScanByIndexTest, MalformedIndexRowIsCorruption) {
+  Setup(IndexScheme::kSyncFull);
+  LoadRows(10);
+  // The escaped value with no value/rowkey terminator: inside the
+  // exact-match range of kBogus, but DecodeIndexRow rejects it.
+  const std::string kBogus = "50-bogus";
+  ASSERT_TRUE(client_->raw_client()
+                  ->Put(index_.index_table, kBogus, {Cell{"", "", false}})
+                  .ok());
+
+  std::vector<IndexHit> hits;
+  Status s = client_->GetByIndex(kTable, kIndex, kBogus, &hits);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  ReadEngine engine(client_.get());
+  std::vector<ScannedRow> rows;
+  s = engine.ScanByIndex(Spec(), ScanOptions(), &rows);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  // Reads whose range excludes the bad key are unaffected.
+  ASSERT_TRUE(client_->GetByIndex(kTable, kIndex, ValName(0), &hits).ok());
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].base_row, RowName(0));
 }
 
 // Local indexes keep their broadcast read path; the region-addressed
