@@ -1,5 +1,6 @@
 // Raw std primitives throughout: the instrumented util/mutex.h wrappers
-// call back into this scheduler. NOLINTFILE(diffindex-raw-mutex)
+// call back into this scheduler (exempt from the analyzer's raw-mutex
+// rule).
 
 #include "check/scheduler.h"
 

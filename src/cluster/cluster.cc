@@ -10,7 +10,7 @@ Cluster::Cluster(const ClusterOptions& options)
 
 Status Cluster::Create(const ClusterOptions& options,
                        std::unique_ptr<Cluster>* cluster) {
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
   std::unique_ptr<Cluster> c(new Cluster(options));
   DIFFINDEX_RETURN_NOT_OK(c->Init());
   *cluster = std::move(c);

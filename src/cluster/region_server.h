@@ -360,7 +360,7 @@ class RegionServer {
   // caller touches any region lock.
   //
   // The order is machine-checked twice: the ACQUIRED_BEFORE annotations
-  // below feed the `lock-order` lint rule (acquisition-graph cycle
+  // below feed the analyzer's `lock-order` rule (acquisition-graph cycle
   // detection), and the LockRank constructor arguments arm the runtime
   // validator (util/lock_order.h) in debug/TSan/DIFFINDEX_CHECK builds.
   mutable SharedMutex regions_mu_ ACQUIRED_AFTER(wal_mu_){

@@ -219,7 +219,7 @@ Status FaultEnv::NewWritableFile(const std::string& fname,
   std::unique_ptr<WritableFile> base;
   Status s = base_->NewWritableFile(fname, &base);
   if (!s.ok()) return s;
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
   result->reset(new FaultWritableFile(this, fname, std::move(base)));
   return Status::OK();
 }
@@ -229,7 +229,7 @@ Status FaultEnv::NewRandomAccessFile(const std::string& fname,
   std::unique_ptr<RandomAccessFile> base;
   Status s = base_->NewRandomAccessFile(fname, &base);
   if (!s.ok()) return s;
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
   result->reset(new FaultRandomAccessFile(this, fname, std::move(base)));
   return Status::OK();
 }
@@ -239,7 +239,7 @@ Status FaultEnv::NewSequentialFile(const std::string& fname,
   std::unique_ptr<SequentialFile> base;
   Status s = base_->NewSequentialFile(fname, &base);
   if (!s.ok()) return s;
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
   result->reset(new FaultSequentialFile(this, fname, std::move(base)));
   return Status::OK();
 }

@@ -15,7 +15,7 @@ Status Writer::Open(Env* env, const std::string& path, SyncMode sync_mode,
                     std::unique_ptr<Writer>* writer) {
   std::unique_ptr<WritableFile> file;
   DIFFINDEX_RETURN_NOT_OK(env->NewWritableFile(path, &file));
-  // NOLINT(diffindex-naked-new): private-ctor factory
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
   writer->reset(new Writer(std::move(file), sync_mode));
   return Status::OK();
 }
@@ -54,7 +54,8 @@ Status Reader::Open(Env* env, const std::string& path,
                     std::unique_ptr<Reader>* reader) {
   std::unique_ptr<SequentialFile> file;
   DIFFINDEX_RETURN_NOT_OK(env->NewSequentialFile(path, &file));
-  reader->reset(new Reader(std::move(file)));  // NOLINT(diffindex-naked-new)
+  // ANALYZER_WAIVE(naked-new): private ctor, owned by a smart pointer
+  reader->reset(new Reader(std::move(file)));
   return Status::OK();
 }
 

@@ -15,9 +15,11 @@ thread_local TraceContext t_current;
 
 uint64_t NextId() {
   // Process-unique, monotone, never 0. Seeded from the wall clock so ids
-  // from successive processes over the same data don't collide.
+  // from successive processes over the same data don't collide. The
+  // counter steps by 2 so forcing the low bit (never 0) keeps
+  // consecutive ids distinct.
   static std::atomic<uint64_t> counter{TimestampOracle::NowMicros() << 16};
-  return counter.fetch_add(1, std::memory_order_relaxed) | 1;
+  return counter.fetch_add(2, std::memory_order_relaxed) | 1;
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Runtime lock-order validator: the dynamic mirror of the textual
 // ACQUIRED_BEFORE annotations (util/thread_annotations.h) and the static
-// `lock-order` lint rule (tools/lint/diffindex_lint.py).
+// `lock-order` / `lock-order-global` rules of tools/analyzer.
 //
 // Every Mutex/SharedMutex can be constructed with a LockRank. Ranked
 // locks participate in the global acquisition order; unranked locks
@@ -30,8 +30,8 @@
 // a base row on region A while the triggering put still holds region B's
 // gate shared. Shared acquisitions of a shared-only capability cannot
 // deadlock against each other, so the validator permits same-rank
-// shared+shared on distinct instances and the lint carries the matching
-// NOLINT(diffindex-lock-order) waiver.
+// shared+shared on distinct instances, and the analyzer's lock-order and
+// lock-order-global rules make the same shared+shared exception.
 
 #ifndef DIFFINDEX_UTIL_LOCK_ORDER_H_
 #define DIFFINDEX_UTIL_LOCK_ORDER_H_

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gates the real tree on the whole-program analyzer.
 
-Five checks, registered together as the `analyzer_tree` ctest:
+Six checks, registered together as the `analyzer_tree` ctest:
 
   1. `python3 tools/analyzer` over src/ + tests/ must exit 0 — every
      finding is either fixed or carries an ANALYZER_WAIVE with a written
@@ -23,12 +23,18 @@ Five checks, registered together as the `analyzer_tree` ctest:
      reports, and both identical to the uncached report — the cache may
      only change speed, never output. Wall times are printed for the
      record.
+  6. The catalog rules read DESIGN.md live, past a warm cache: on a copy
+     of the fixture corpus, renaming one failpoint catalog row after a
+     warm-up run must surface both directions on the next (fully
+     cached) run — failpoint-names at the consult that lost its row,
+     catalog-sync at the renamed row that no code consults.
 """
 
 import argparse
 import difflib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -137,6 +143,53 @@ def main():
               "(cold %.2fs, warm %.2fs; %s)"
               % (runs["cold"][1], runs["warm"][1],
                  stats[0].strip() if stats else "no stats line"))
+    return check_catalog_edit_past_cache(root, analyzer)
+
+
+FINDING_RE = re.compile(r"^(\S+?):\d+: \[([a-z-]+)\] (.*)$", re.M)
+
+
+def check_catalog_edit_past_cache(root, analyzer):
+    with tempfile.TemporaryDirectory(prefix="analyzer_catalog_") as tmp:
+        corpus = os.path.join(tmp, "corpus")
+        cache = os.path.join(tmp, "cache")
+        shutil.copytree(os.path.join(root, "tests", "analyzer", "fixtures"),
+                        corpus)
+        cmd = [sys.executable, analyzer, "--root", corpus,
+               "--cache-dir", cache]
+        before = subprocess.run(cmd, capture_output=True, text=True)
+        if before.returncode != 1:
+            print("FAIL: fixture corpus warm-up exited %d (want 1):\n%s%s"
+                  % (before.returncode, before.stdout, before.stderr))
+            return 1
+        design_path = os.path.join(corpus, "DESIGN.md")
+        with open(design_path, encoding="utf-8") as f:
+            design = f.read()
+        row = "| `fixture.apply.armed` |"
+        if row not in design:
+            print("FAIL: fixture DESIGN.md lost the %s row" % row)
+            return 1
+        with open(design_path, "w", encoding="utf-8") as f:
+            f.write(design.replace(row, "| `fixture.apply.renamed` |"))
+        after = subprocess.run(cmd, capture_output=True, text=True)
+        new = (set(FINDING_RE.findall(after.stdout))
+               - set(FINDING_RE.findall(before.stdout)))
+        want = {("failpoint-names", "fixture.apply.armed"),
+                ("catalog-sync", "fixture.apply.renamed")}
+        got = {(rule, name) for _, rule, msg in new for _, name in want
+               if "'%s'" % name in msg}
+        hits = re.search(r"(\d+)/(\d+) event hits", after.stderr)
+        if not hits or hits.group(1) != hits.group(2):
+            print("FAIL: the run after the DESIGN.md edit was not fully "
+                  "cached:\n%s" % after.stderr)
+            return 1
+        if got != want:
+            print("FAIL: a DESIGN.md row rename past a warm cache reported "
+                  "%s, expected %s:\n%s" % (sorted(got), sorted(want),
+                                             after.stdout))
+            return 1
+        print("ok: DESIGN.md row rename seen past the warm cache (%s)"
+              % hits.group(0))
     return 0
 
 

@@ -10,7 +10,9 @@ namespace diffindex {
 namespace {
 
 TEST(IndexCodecTest, EscapeRemovesZeroBytes) {
-  const std::string raw("a\x00b\x01c", 5);
+  // Split literals: "a\x00b\x01c" would parse as a, \x0b, \x1c.
+  const std::string raw("a\x00" "b\x01" "c", 5);
+  ASSERT_NE(raw.find('\0'), std::string::npos);
   const std::string escaped = EscapeIndexComponent(raw);
   EXPECT_EQ(escaped.find('\x00'), std::string::npos);
   std::string back;

@@ -42,6 +42,19 @@ TEST(TraceContextTest, RootAndChildIdentity) {
   EXPECT_FALSE(inactive.active());
 }
 
+TEST(TraceContextTest, SuccessiveIdsArePairwiseDistinct) {
+  std::set<uint64_t> ids;
+  for (int i = 0; i < 1000; i++) {
+    TraceContext root = TraceContext::NewRoot("put", "");
+    TraceContext child = root.Child();
+    for (uint64_t id : {root.trace_id, root.span_id, child.span_id}) {
+      EXPECT_NE(id, 0u);
+      ids.insert(id);
+    }
+  }
+  EXPECT_EQ(ids.size(), 3000u);
+}
+
 TEST(TraceContextTest, EncodeDecodeRoundTrip) {
   TraceContext ctx = TraceContext::NewRoot("get_by_index", "async-simple");
   ctx.parent_span_id = 99;

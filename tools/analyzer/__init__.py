@@ -1,10 +1,11 @@
-"""Diff-Index whole-program static analyzer (DESIGN.md section 15).
+"""Diff-Index static checker (DESIGN.md section 15).
 
-A self-contained, stdlib-only Python package that extends the
-tools/lint tokenizer into a symbol table, name-resolved call graph, and
-held-lock dataflow, then runs interprocedural ordering rules over every
-translation unit: lock-order-global, blocking-under-lock,
-guarded-access, yield-coverage, status-flow, failpoint-reachability.
+A self-contained, stdlib-only Python package: a comment/string-blanking
+tokenizer, a symbol table, a name-resolved call graph and held-lock
+dataflow, run over every translation unit by one rule engine — the
+interprocedural lock, flow and crash-ordering rules, the declared
+lock-order rule, the DESIGN.md catalog rules and the per-file textual
+rules — with one waiver syntax, ANALYZER_WAIVE(rule): rationale.
 
 Run as `python3 tools/analyzer`; see cli.py for flags.
 """

@@ -5,11 +5,12 @@ Usage:
                          [--json OUT.sarif] [--dump-lock-graph]
                          [--compile-commands PATH] [files...]
 
-With explicit `files` only those are analyzed (the fixture tests use
-this; each fixture is a self-contained translation unit). Otherwise the
-file set is every source under <root>/src and <root>/tests (fixture
-corpora excluded), cross-checked against compile_commands.json when
-present so a TU the build knows about is never silently skipped.
+With explicit `files` only those are analyzed, and the whole-program
+rules see only them (the fixture test passes its whole corpus this
+way). Otherwise the file set is every source under <root>/src and
+<root>/tests (the fixture corpus excluded), cross-checked against
+compile_commands.json when present so a TU the build knows about is
+never silently skipped. The catalog rules read <root>/DESIGN.md.
 
 Exit status: 0 clean, 1 unwaived findings, 2 usage/config error.
 """
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 
+import catalog
 import dataflow
 import model
 import report
@@ -148,7 +150,14 @@ def main(argv=None):
         sys.stdout.write(report.effect_graph_dump(program, summaries))
         return 0
 
-    engine = rules_mod.RuleEngine(program, contexts, notes)
+    design = None
+    if set(selected) & set(rules_mod.CATALOG_RULES):
+        design = catalog.Design.load(root)
+        if design is None:
+            print("diffindex_analyzer: no failpoint catalog or metric names "
+                  "table in %s" % os.path.join(root, "DESIGN.md"))
+            return 2
+    engine = rules_mod.RuleEngine(program, contexts, notes, design)
     findings = engine.run(selected)
 
     if args.json:

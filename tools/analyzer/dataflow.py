@@ -18,7 +18,7 @@ silently applied.
 import re
 from collections import namedtuple
 
-from source import line_of
+from source import line_of, balanced_args, split_top_level_args
 from model import canonical_lock_name, CALL_BLACKLIST
 import effects as fx
 
@@ -59,31 +59,9 @@ MAX_CONTEXTS = 64
 MAX_CHAIN = 12
 
 
-def balanced_args(text, open_paren_pos):
-    depth = 0
-    for j in range(open_paren_pos, len(text)):
-        if text[j] == "(":
-            depth += 1
-        elif text[j] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_paren_pos + 1:j]
-    return None
-
-
 def first_arg(text, open_paren_pos):
     args = balanced_args(text, open_paren_pos)
-    if args is None:
-        return ""
-    depth = 0
-    for j, c in enumerate(args):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            return args[:j]
-    return args
+    return "" if args is None else split_top_level_args(args)[0]
 
 
 def build_events(program, fn):

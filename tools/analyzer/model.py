@@ -1,8 +1,8 @@
 """Program model: symbol table, call graph, and lock/field registries.
 
 Built purely from text (no clang frontend is available in the build
-image), with the same tokenizer discipline as tools/lint: comments and
-strings are blanked first, so every position maps back to a true line.
+image): comments and strings are blanked first (source.py), so every
+position maps back to a true line.
 
 The extraction is a scope-tracking scanner rather than a grammar: it
 walks brace structure, classifies the text segment that precedes each
@@ -14,8 +14,9 @@ to build, for this codebase's consistent style:
     return type, and REQUIRES/REQUIRES_SHARED entry locks;
   * a name-resolved call graph (virtual calls resolve by simple name to
     every definition, a sound over-approximation for the rules here);
-  * the ranked-lock registry: every Mutex/SharedMutex constructed with
-    a LockRank, attributed to its enclosing class;
+  * the lock registry: every Mutex/SharedMutex constructed with a
+    LockRank, attributed to its enclosing class, plus the declared
+    ACQUIRED_BEFORE/ACQUIRED_AFTER order (ranked or not);
   * the GUARDED_BY field registry per class.
 
 Known limits are documented in DESIGN.md section 15 (templates are
@@ -69,8 +70,8 @@ CALL_BLACKLIST = CONTROL_KEYWORDS | MACRO_NAMES | GTEST_MACROS | {
 
 def canonical_lock_name(expr):
     """`&wal_sync_mu_`, `region->flush_gate()`, `flush_gate_` all
-    resolve to `wal_sync_mu` / `flush_gate` (same canonicalization as
-    the lint's lock-order rule)."""
+    resolve to `wal_sync_mu` / `flush_gate`: guards, REQUIRES contracts
+    and ACQUIRED_* annotations name a lock the same way."""
     e = expr.strip().lstrip("&*")
     e = re.sub(r"\(\s*\)", "", e)
     for sep in ("->", "."):
@@ -192,7 +193,7 @@ def _bare_class(t):
 LOCK_DECL_RE = re.compile(
     r"\b(Mutex|SharedMutex)\s+(\w+)\s*"
     r"((?:ACQUIRED_(?:BEFORE|AFTER)\s*\([^)]*\)\s*)*)"
-    r"\{\s*LockRank::(k\w+)"
+    r"(?:\{\s*LockRank::(k\w+))?"
 )
 
 LOCK_ANN_RE = re.compile(r"ACQUIRED_(BEFORE|AFTER)\s*\(([^)]*)\)")
@@ -294,6 +295,11 @@ class Program:
             self.functions.append(fn)
         self.functions_by_file[sf.rel] = fns
         for name, cls, rank_token, shared, line, anns in fm["locks"]:
+            for kind2, other in anns:
+                before, after = ((name, other) if kind2 == "BEFORE"
+                                 else (other, name))
+                self.declared_edges.setdefault(before, {}).setdefault(
+                    after, (sf.rel, line))
             rank = self.rank_values.get(rank_token)
             if rank is None or rank == 0:
                 continue
@@ -307,11 +313,6 @@ class Program:
                     self.locks_global[decl.name] = None  # ambiguous name
             else:
                 self.locks_global[decl.name] = decl
-            for kind2, other in anns:
-                before, after = ((decl.name, other) if kind2 == "BEFORE"
-                                 else (other, decl.name))
-                self.declared_edges.setdefault(before, {}).setdefault(
-                    after, (sf.rel, line))
         for name, cls, guard, line in fm["guarded"]:
             fields = self.guarded_by_class.setdefault(cls, {})
             fields[name] = GuardedField(name, cls, guard, sf, line)
@@ -692,6 +693,8 @@ def _register_decls(sf, fm):
                 other = canonical_lock_name(arg)
                 if other:
                     parsed_anns.append([am.group(1), other])
+        if rank_token is None and not parsed_anns:
+            continue  # neither ranked nor ordered: nothing to register
         fm["locks"].append([canonical_lock_name(raw_name), cls, rank_token,
                             kind == "SharedMutex",
                             line_of(clean, m.start()), parsed_anns])

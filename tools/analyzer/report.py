@@ -26,6 +26,24 @@ RULE_DESCRIPTIONS = {
         "checkpoint frame written only after the manifest commit",
     "crash-window-failpoint":
         "every dead-letter crash window carries a named failpoint",
+    "lock-order":
+        "declared ACQUIRED_BEFORE order is acyclic and nestings follow it",
+    "failpoint-names":
+        "every consulted failpoint has a DESIGN.md catalog row",
+    "metric-names":
+        "every created instrument and span stage is in the DESIGN.md tables",
+    "catalog-sync":
+        "every DESIGN.md catalog row is still used by the code",
+    "raw-mutex":
+        "no raw std synchronization primitives outside util/mutex.h",
+    "naked-new":
+        "no naked new",
+    "index-ts":
+        "index entries at the base edit's ts, retractions at ts - delta",
+    "lsm-layering":
+        "src/lsm/ includes no cluster/ or core/ header",
+    "ignore-error":
+        "every .IgnoreError() carries an adjacent rationale comment",
     "waiver-rationale":
         "every ANALYZER_WAIVE carries a written rationale",
 }

@@ -1,4 +1,4 @@
-"""The analyzer's interprocedural rules (DESIGN.md section 15).
+"""The analyzer's rules (DESIGN.md section 15).
 
   lock-order-global       no acquisition path, through any call chain,
                           may take a ranked lock while holding one of
@@ -57,16 +57,40 @@ with callee summaries inlined at call sites:
                           (a dead-letter record) must have a named
                           failpoint in the same innermost scope before
                           it, so the chaos harness can cut the window.
+
+Declared lock order, over the ACQUIRED_BEFORE/ACQUIRED_AFTER edges in
+the model's lock registry and the held sets dataflow.py records:
+
+  lock-order              the declared edges form no cycle, and every
+                          nested acquisition of two annotated locks
+                          follows a declared path (the shared+shared
+                          self-nesting of two flush gates excepted, as
+                          in lock-order-global).
+
+Catalog rules, against the DESIGN.md tables (catalog.py):
+
+  failpoint-names         every failpoint consulted in src/ has a row in
+                          the failpoint catalog.
+  metric-names            every instrument src/ creates matches a metric
+                          table row, and every SpanTimer stage is in the
+                          span-stage list.
+  catalog-sync            the reverse: every failpoint row is consulted
+                          and every metric row matches an instrument the
+                          code creates (SpanTimer stages as span.<stage>).
+
+plus the per-file textual rules of textual.py (raw-mutex, naked-new,
+index-ts, lsm-layering, ignore-error).
 """
 
 import re
 from collections import namedtuple
 
-import dataflow
+import catalog
 import effects as fx
+import textual
 from dataflow import (ACQUIRE, BLOCKING, GUARDED_WRITE, STATUS_DROP,
                       FAILPOINT, EFFECT)
-from source import line_of
+from source import line_of, balanced_args
 
 Finding = namedtuple(
     "Finding",
@@ -80,6 +104,8 @@ DURABILITY_RULES = (
     "crash-window-failpoint",
 )
 
+CATALOG_RULES = ("failpoint-names", "metric-names", "catalog-sync")
+
 ALL_RULES = (
     "lock-order-global",
     "blocking-under-lock",
@@ -87,15 +113,25 @@ ALL_RULES = (
     "yield-coverage",
     "status-flow",
     "failpoint-reachability",
-) + DURABILITY_RULES
+) + DURABILITY_RULES + ("lock-order",) + CATALOG_RULES + tuple(textual.RULES)
 
-# The model checker's scheduler and the annotated-primitive layer block
-# by design; the lock-order unit test violates ordering on purpose but
-# carries inline waivers instead of a path exclusion, so its intent is
-# written next to the code.
-def _excluded(fn, rule):
-    rel = fn.sf.rel.replace("\\", "/")
-    if rel.endswith("util/mutex.h"):
+# Path scopes, in one place. The model checker's scheduler and the
+# annotated-primitive layer block by design; the lock-order unit test
+# violates ordering on purpose but carries inline waivers instead of a
+# path exclusion, so its intent is written next to the code. A textual
+# or catalog rule skips the files that define what it polices: the
+# scheduler is built from raw primitives because the annotated wrappers
+# call back into it.
+EXEMPT_FILES = {
+    "raw-mutex": ("src/check/scheduler.h", "src/check/scheduler.cc"),
+    "ignore-error": ("src/util/status.h",),
+    "metric-names": ("src/obs/metrics.h",),
+}
+
+
+def _excluded(sf, rule):
+    rel = sf.rel.replace("\\", "/")
+    if rel.endswith("util/mutex.h") or rel in EXEMPT_FILES.get(rule, ()):
         return True
     if rel.startswith("src/check/") and rule in (
             "blocking-under-lock", "lock-order-global", "guarded-access",
@@ -106,39 +142,81 @@ def _excluded(fn, rule):
     return False
 
 
-def _chain_text(chain, fn):
-    steps = [("%s (%s:%d)" % (q, rel, line)) for q, rel, line in chain]
-    steps.append(fn.qualname)
-    return " -> ".join(steps)
+def _in_src(sf):
+    return sf.rel.replace("\\", "/").startswith("src/")
+
+
+def _reach(edges):
+    """Transitive closure of the declared order: {lock: reachable locks}."""
+    reach = {}
+
+    def visit(node):
+        if node not in reach:
+            reach[node] = set()  # cycle guard
+            for nxt in edges.get(node, ()):
+                reach[node] |= {nxt} | visit(nxt)
+        return reach[node]
+
+    for node in list(edges):
+        visit(node)
+    return reach
+
+
+def _cycle(edges):
+    """One cycle of the declared order as a node list, or None."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for nxt in sorted(edges.get(node, ())):
+            found = visit(nxt)
+            if found:
+                return found
+        path.pop()
+        done.add(node)
+        return None
+
+    for node in sorted(edges):
+        found = visit(node)
+        if found:
+            return found
+    return None
 
 
 class RuleEngine:
-    def __init__(self, program, contexts, notes):
+    def __init__(self, program, contexts, notes, design=None):
         self.program = program
         self.contexts = contexts
         self.notes = notes
+        self.design = design  # catalog.Design; needed by CATALOG_RULES
         self.findings = []
+        self.files_by_rel = {sf.rel: sf for sf in program.files}
+        if design is not None:
+            self.files_by_rel[design.sf.rel] = design.sf
+        edges = program.declared_edges
+        self.ordered_locks = set(edges).union(*edges.values())
+        self.declared_reach = _reach(edges)
 
-    def _waiver_at(self, rule, fn, line, chain):
-        """A waiver suppresses a finding at the reported line or at any
-        call site on its chain (so a by-design edge is waived once,
-        where the decision lives)."""
-        w = fn.sf.waiver_for(rule, line)
-        if w is not None:
-            return w
-        by_rel = {sf.rel: sf for sf in self.program.files}
-        for _, rel, call_line in chain:
-            sf = by_rel.get(rel)
-            if sf is not None:
-                w = sf.waiver_for(rule, call_line)
-                if w is not None:
-                    return w
-        return None
+    def _emit_at(self, rule, rel, line, message, chain=()):
+        """Records a finding at rel:line. A waiver suppresses it at that
+        line or at any call site on its chain (so a by-design edge is
+        waived once, where the decision lives)."""
+        waiver = None
+        for wrel, wline in ((rel, line),) + tuple(
+                (crel, cline) for _, crel, cline in chain):
+            sf = self.files_by_rel.get(wrel)
+            waiver = sf.waiver_for(rule, wline) if sf is not None else None
+            if waiver is not None:
+                break
+        self.findings.append(Finding(rule, rel, line, message,
+                                     tuple(chain), waiver))
 
     def _emit(self, rule, fn, line, message, chain=()):
-        waiver = self._waiver_at(rule, fn, line, chain)
-        self.findings.append(Finding(rule, fn.sf.rel, line, message,
-                                     tuple(chain), waiver))
+        self._emit_at(rule, fn.sf.rel, line, message, chain)
 
     # -- per-(function, context) checks -----------------------------------
 
@@ -159,14 +237,21 @@ class RuleEngine:
             self._check_effect_orderings(ordering)
         if "crash-window-failpoint" in rules:
             self._check_crash_windows()
+        if "lock-order" in rules:
+            self._check_declared_cycle()
+        self._check_textual(rules)
+        self._check_catalogs(rules)
         self._check_waiver_rationales()
         return self.findings
 
     def _check_context(self, fn, ctx, rules, seen):
         inherited = ctx.held
         for ev in fn.events:
+            if ev.kind == ACQUIRE and "lock-order" in rules \
+                    and not _excluded(fn.sf, "lock-order") and not inherited:
+                self._check_declared_nesting(fn, ev, seen)
             if ev.kind == ACQUIRE and "lock-order-global" in rules \
-                    and not _excluded(fn, "lock-order-global"):
+                    and not _excluded(fn.sf, "lock-order-global"):
                 lock = ev.data["lock"]
                 if lock.rank <= 0:
                     continue
@@ -193,7 +278,7 @@ class RuleEngine:
                     self._emit("lock-order-global", fn, ev.line, msg,
                                self._chain_for(ctx, fn, held))
             elif ev.kind == BLOCKING and "blocking-under-lock" in rules \
-                    and not _excluded(fn, "blocking-under-lock"):
+                    and not _excluded(fn.sf, "blocking-under-lock"):
                 full = set(ev.held) | inherited
                 ranked = sorted((h for h in full if h.rank > 0),
                                 key=lambda h: h.rank)
@@ -213,7 +298,7 @@ class RuleEngine:
                 self._emit("blocking-under-lock", fn, ev.line, msg,
                            self._chain_for(ctx, fn, ranked[0]))
             elif ev.kind == GUARDED_WRITE and "guarded-access" in rules \
-                    and not _excluded(fn, "guarded-access") \
+                    and not _excluded(fn.sf, "guarded-access") \
                     and not inherited:
                 # Checked in the base context only: the guard contract is
                 # the function's own (REQUIRES or a local acquisition),
@@ -242,6 +327,102 @@ class RuleEngine:
                        "silently dropped" % (ev.data["var"], fn.qualname))
                 self._emit("status-flow", fn, ev.line, msg)
 
+    def _check_declared_nesting(self, fn, ev, seen):
+        """Local nestings only: ACQUIRED_* annotations name locks by
+        member name, which is unambiguous within one body but not across
+        a call chain (every class's `mu_` is `mu`); the ranks carry the
+        interprocedural order (lock-order-global)."""
+        lock = ev.data["lock"]
+        if lock.name not in self.ordered_locks:
+            return
+        for held in ev.held:
+            if held.name not in self.ordered_locks \
+                    or lock.name in self.declared_reach.get(held.name, ()) \
+                    or (held.name == lock.name and held.shared
+                        and lock.shared):
+                continue
+            key = ("lock-order", fn.sf.rel, ev.line, held.name, lock.name)
+            if key in seen:
+                continue
+            seen.add(key)
+            msg = ("nested acquisition %s -> %s does not follow the declared "
+                   "ACQUIRED_BEFORE order; annotate the edge or waive it" %
+                   (held.name, lock.name))
+            self._emit("lock-order", fn, ev.line, msg)
+
+    def _check_declared_cycle(self):
+        edges = self.program.declared_edges
+        cycle = _cycle(edges)
+        if cycle:
+            rel, line = edges[cycle[-2]][cycle[-1]]
+            self._emit_at("lock-order", rel, line,
+                          "declared lock-order cycle: %s" % " -> ".join(cycle))
+
+    def _check_textual(self, rules):
+        for sf in self.program.files:
+            rel = sf.rel.replace("\\", "/")
+            for rule, check in textual.RULES.items():
+                if rule in rules and rel.startswith(textual.SCOPE[rule]) \
+                        and not _excluded(sf, rule):
+                    for line, msg in check(sf):
+                        self._emit_at(rule, sf.rel, line, msg)
+
+    def _check_catalogs(self, rules):
+        """failpoint-names / metric-names check code against the DESIGN.md
+        catalogs; catalog-sync checks the catalogs against the code.
+        Failpoint consults are the dataflow FAILPOINT events."""
+        rules = rules & set(CATALOG_RULES)
+        if not rules:
+            return
+        design = self.design
+        consulted = set()
+        for fn in self.program.functions:
+            if not _in_src(fn.sf):
+                continue
+            for ev in fn.events:
+                if ev.kind != FAILPOINT:
+                    continue
+                name = ev.data["name"]
+                consulted.add(name)
+                if "failpoint-names" in rules \
+                        and name not in design.failpoints:
+                    self._emit("failpoint-names", fn, ev.line,
+                               "failpoint '%s' is not documented in the "
+                               "DESIGN.md failpoint catalog" % name)
+        created = set()
+        for sf in self.program.files:
+            if not _in_src(sf):
+                continue
+            check = "metric-names" in rules \
+                and not _excluded(sf, "metric-names")
+            for kind, name, line in catalog.instruments(sf):
+                created.add(name if kind == "metric" else "span." + name)
+                if not check:
+                    continue
+                if kind == "metric" and not design.metric_documented(name):
+                    msg = ("metric '%s' has no row in the DESIGN.md metric "
+                           "names table" % catalog.shown(name))
+                elif kind == "stage" and not design.stage_documented(name):
+                    msg = ("span stage '%s' is not in the DESIGN.md "
+                           "span-stage list" % catalog.shown(name))
+                else:
+                    continue
+                self._emit_at("metric-names", sf.rel, line, msg)
+        if "catalog-sync" not in rules:
+            return
+        for name, line in sorted(design.failpoints.items()):
+            if name not in consulted:
+                self._emit_at("catalog-sync", design.sf.rel, line,
+                              "failpoint catalog row '%s' is consulted "
+                              "nowhere in src/; retire the row or restore "
+                              "the consult" % name)
+        for row in design.dead_metric_rows(created):
+            self._emit_at("catalog-sync", design.sf.rel,
+                          design.metric_rows[row],
+                          "metric table row '%s' matches no instrument "
+                          "created in src/; retire the row or restore the "
+                          "instrument" % row)
+
     def _chain_for(self, ctx, fn, held):
         """The recorded caller chain, when the offending lock came from a
         caller; empty for purely local violations."""
@@ -254,9 +435,9 @@ class RuleEngine:
     def _check_yield_coverage(self):
         program = self.program
         yield_files = {fn.sf.rel for fn in program.functions if fn.has_yield
-                       and fn.sf.rel.replace("\\", "/").startswith("src/")}
+                       and _in_src(fn.sf)}
         for fn in program.functions:
-            if fn.sf.rel not in yield_files or _excluded(fn, "yield-coverage"):
+            if fn.sf.rel not in yield_files or _excluded(fn.sf, "yield-coverage"):
                 continue
             writes = [ev for ev in fn.events if ev.kind == GUARDED_WRITE]
             if not writes or fn.has_yield:
@@ -292,7 +473,7 @@ class RuleEngine:
                 for m in re.finditer(r"\"([a-z_.]+)\"", sf.clean_str):
                     armed.add(m.group(1))
         for fn in program.functions:
-            if not fn.sf.rel.replace("\\", "/").startswith("src/"):
+            if not _in_src(fn.sf):
                 continue
             for ev in fn.events:
                 if ev.kind == FAILPOINT:
@@ -326,7 +507,7 @@ class RuleEngine:
                 if not targets or \
                         any(t.return_type != "Status" for t in targets):
                     continue
-                args = dataflow.balanced_args(body, m.end() - 1)
+                args = balanced_args(body, m.end() - 1)
                 if args is None:
                     continue
                 close = m.end() - 1 + len(args) + 1  # the ')'
@@ -341,27 +522,6 @@ class RuleEngine:
 
     # -- crash-ordering checks over effect summaries ----------------------
 
-    def _sf_by_rel(self):
-        if not hasattr(self, "_sf_map"):
-            self._sf_map = {sf.rel: sf for sf in self.program.files}
-        return self._sf_map
-
-    def _emit_at(self, rule, rel, line, message, chain):
-        """Like _emit, but the finding's site may live in a different
-        file than the summarized function (an inlined callee effect);
-        waivers attach at the site or at any chain call site."""
-        sf = self._sf_by_rel().get(rel)
-        waiver = sf.waiver_for(rule, line) if sf is not None else None
-        if waiver is None:
-            for _, crel, cline in chain:
-                csf = self._sf_by_rel().get(crel)
-                if csf is not None:
-                    waiver = csf.waiver_for(rule, cline)
-                    if waiver is not None:
-                        break
-        self.findings.append(Finding(rule, rel, line, message,
-                                     tuple(chain), waiver))
-
     def _check_effect_orderings(self, rules):
         """Scans every src/ function's flattened effect trace. The same
         site surfaces in every caller's trace too; candidates dedup by
@@ -370,7 +530,7 @@ class RuleEngine:
         summaries = fx.build_summaries(self.program, self.notes)
         cands = []  # (rule, rel, line, message, chain)
         for fn in self.program.functions:
-            if not fn.sf.rel.replace("\\", "/").startswith("src/"):
+            if not _in_src(fn.sf):
                 continue
             trace = summaries.get(fn) or []
             if "log-before-apply" in rules:
@@ -456,7 +616,7 @@ class RuleEngine:
         before the record, so the chaos harness can crash inside it.
         Own-body events only — the window and its seam belong together."""
         for fn in self.program.functions:
-            if not fn.sf.rel.replace("\\", "/").startswith("src/"):
+            if not _in_src(fn.sf):
                 continue
             fp_scopes = {}
             for ev in fn.events:

@@ -5,7 +5,8 @@ rest of the package works on:
 
   raw        the file exactly as on disk (waiver comments live here)
   clean      comments AND string literals blanked, line structure kept
-  clean_str  comments blanked, string literals kept (failpoint names)
+  clean_str  comments blanked, string literals kept (failpoint and
+             metric names)
   waivers    parsed ANALYZER_WAIVE annotations
 
 Waiver grammar (DESIGN.md section 15): a finding is suppressed by a
@@ -13,17 +14,21 @@ comment on the reported line or the line directly above it:
 
     // ANALYZER_WAIVE(rule-name): written rationale for the exception
 
-The rationale is mandatory — a waiver whose rationale is missing or
-trivially short is itself reported (rule `waiver-rationale`) and does
-not suppress anything. For interprocedural findings the waiver may sit
-at any call site on the reported chain, so a deliberate by-design edge
-is waived once, where the design decision lives.
+A waiver may also close a DESIGN.md catalog row as an HTML comment
+(`<!-- ANALYZER_WAIVE(catalog-sync): ... -->`). The rationale is
+mandatory — a waiver whose rationale is missing or trivially short is
+itself reported (rule `waiver-rationale`) and does not suppress
+anything. For interprocedural findings the waiver may sit at any call
+site on the reported chain, so a deliberate by-design edge is waived
+once, where the design decision lives.
 """
 
 import os
 import re
+from functools import cached_property
 
-WAIVE_RE = re.compile(r"ANALYZER_WAIVE\(([a-z-]+)\)\s*(?::\s*(.*))?")
+WAIVE_RE = re.compile(
+    r"ANALYZER_WAIVE\(([a-z-]+)\)\s*(?::\s*(.*?))?\s*(?:-->.*)?$", re.M)
 
 # A rationale must be a real sentence, not an empty tag.
 MIN_RATIONALE_CHARS = 12
@@ -31,8 +36,7 @@ MIN_RATIONALE_CHARS = 12
 
 def strip_comments_and_strings(text, keep_strings=False):
     """Blanks out comments (and optionally string literals), preserving
-    line structure so reported line numbers stay true. Same algorithm as
-    tools/lint/diffindex_lint.py."""
+    line structure so reported line numbers stay true."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -87,6 +91,34 @@ def line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
+def balanced_args(text, open_paren_pos):
+    """The text between the paren at open_paren_pos and its match, or
+    None if unbalanced."""
+    depth = 0
+    for j in range(open_paren_pos, len(text)):
+        if text[j] == "(":
+            depth += 1
+        elif text[j] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren_pos + 1:j]
+    return None
+
+
+def split_top_level_args(argtext):
+    args, depth, start = [], 0, 0
+    for j, c in enumerate(argtext):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            args.append(argtext[start:j])
+            start = j + 1
+    args.append(argtext[start:])
+    return [a.strip() for a in args]
+
+
 class Waiver:
     def __init__(self, rule, rationale, line):
         self.rule = rule
@@ -104,8 +136,6 @@ class SourceFile:
         self.rel = os.path.relpath(self.path, root)
         with open(path, encoding="utf-8", errors="replace") as f:
             self.raw = f.read()
-        self.clean = strip_comments_and_strings(self.raw)
-        self.clean_str = strip_comments_and_strings(self.raw, keep_strings=True)
         self.lines = self.raw.splitlines()
         # line -> [Waiver]; a waiver covers its own line and the next one.
         # A waiver inside a multi-line // comment block anchors to the
@@ -122,6 +152,16 @@ class SourceFile:
                 anchor += 1
             if anchor != line:
                 self.waivers.setdefault(anchor + 1, []).append(w)
+
+    # Derived lazily: DESIGN.md is loaded as a SourceFile for its waivers
+    # only and never needs the C++ views.
+    @cached_property
+    def clean(self):
+        return strip_comments_and_strings(self.raw)
+
+    @cached_property
+    def clean_str(self):
+        return strip_comments_and_strings(self.raw, keep_strings=True)
 
     def waiver_for(self, rule, line):
         """Returns a valid Waiver covering `line` for `rule`, or None.
@@ -142,12 +182,9 @@ class SourceFile:
 
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
 
-# Directories whose files are never analyzed: the lint/analyzer fixture
-# corpora seed deliberate violations.
-EXCLUDED_DIR_PARTS = (
-    os.path.join("tests", "lint", "fixtures"),
-    os.path.join("tests", "analyzer", "fixtures"),
-)
+# Directories whose files are never analyzed: the fixture corpus seeds
+# deliberate violations.
+EXCLUDED_DIR_PARTS = (os.path.join("tests", "analyzer", "fixtures"),)
 
 
 def gather_files(root, subdirs=("src", "tests")):
