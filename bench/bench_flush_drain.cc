@@ -6,11 +6,11 @@
 // This bench drives a heavy async-indexed write load with small memtables
 // (frequent flushes) and reports how much put-side stall the pause &
 // drain protocol induced, compared against a no-index run with identical
-// flush pressure. The indexed run is measured at drain_batch_size=1
-// (task-at-a-time APS) and >1 (coalescing batched drain, Section 11 of
-// DESIGN.md): the batched drain coalesces superseded tasks and ships one
-// multi-put per region server, so both the put stall and the tail-drain
-// time shrink.
+// flush pressure. The indexed run is measured at drain_batch_size=1 and
+// >1; both run the APS's one drain loop (Section 11 of DESIGN.md). At 1
+// each drain is a batch of one delivered with per-task index puts; above
+// 1 the drain coalesces superseded tasks and ships one multi-put per
+// region server, so both the put stall and the tail-drain time shrink.
 
 #include <chrono>
 

@@ -96,7 +96,8 @@ struct AuqOptions {
   // call (kBlock = the historical blocking behavior). 0 = unbounded.
   size_t max_depth = 0;
   AuqOverflowPolicy overflow_policy = AuqOverflowPolicy::kBlock;
-  // Artificial per-task delay before processing — a test/bench knob that
+  // Artificial delay before each drain unit (one task at the default
+  // drain_batch_size) is processed — a test/bench knob that
   // throttles the APS to magnify index staleness (Figure 11's saturated
   // regime on demand).
   int process_delay_ms = 0;
@@ -106,16 +107,18 @@ struct AuqOptions {
   // index descriptor was dropped mid-flight would otherwise spin forever.
   // 0 = retry forever, preserving the paper's eventual-delivery semantics.
   int max_attempts = 0;
-  // Batched drain: a worker dequeues up to this many tasks at once,
-  // coalesces same-(index, row) tasks to the newest timestamp, and hands
-  // the survivors to the batch processor in one call. 1 = the classic
-  // one-task-per-dequeue path (default). Exports histogram
-  // `auq.batch_size` and counter `auq.coalesced`.
+  // Drain unit size: a worker dequeues up to this many tasks at once and
+  // coalesces same-(index, row) tasks to the newest timestamp. Above 1
+  // the survivors go to the batch processor in one call; 1 (default) is
+  // a batch of one, no coalescing, delivered through the per-task
+  // processor. Exports histogram `auq.batch_size` (every drain) and
+  // counter `auq.coalesced`.
   int drain_batch_size = 1;
   // Observability sinks; either may be null. Exports gauge `auq.depth`,
   // counters `auq.enqueued/processed/retries`, histograms
-  // `auq.task_micros` (per-task processing time), `auq.staleness_micros`,
-  // and `span.aps.task.<scheme>` spans chained to the base put's trace.
+  // `auq.task_micros` (processing time of one drain unit),
+  // `auq.staleness_micros`, and `span.aps.task.<scheme>` spans chained to
+  // the base put's trace.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceCollector* traces = nullptr;
 };
@@ -126,8 +129,8 @@ class AsyncUpdateQueue {
   // task back for retry.
   using Processor = std::function<Status(const IndexTask& task)>;
   // Batched form: performs BA2-BA4 for a coalesced batch, filling one
-  // status per task. Optional — without it, a drained batch falls back to
-  // per-task Processor calls.
+  // status per task. Used only when drain_batch_size > 1; without it (or
+  // at 1), each survivor goes through one Processor call.
   using BatchProcessor = std::function<void(const std::vector<IndexTask>& tasks,
                                             std::vector<Status>* statuses)>;
 

@@ -38,8 +38,9 @@ IndexManager::IndexManager(RegionServer* server,
       },
       [this](const std::vector<IndexTask>& tasks,
              std::vector<Status>* statuses) {
-        // Batched APS backend (drain_batch_size > 1): one grouped RPC per
-        // owning server instead of one round trip per task.
+        // Batched APS backend: the AUQ calls it only for drain_batch_size
+        // > 1 (a batch of one stays on the per-task backend above) — one
+        // grouped RPC per owning server instead of one round trip per task.
         ProcessTaskBatch(tasks, statuses);
       });
 }

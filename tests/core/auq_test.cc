@@ -8,10 +8,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 namespace diffindex {
 namespace {
+
+// Cases that cover the drain loop's delivery, retry and barrier logic run
+// at drain_batch_size 1 (a batch of one) and 4.
+constexpr int kDrainBatchSizes[] = {1, 4};
 
 IndexTask MakeTask(int i) {
   IndexTask task;
@@ -70,42 +75,50 @@ TEST(AuqTest, PauseBlocksEnqueueUntilResume) {
 }
 
 TEST(AuqTest, WaitDrainedWaitsForInFlightTask) {
-  std::atomic<bool> release{false};
-  std::atomic<bool> done{false};
-  AuqOptions options;
-  options.worker_threads = 1;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    done = true;
-    return Status::OK();
-  });
-  ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
-  std::thread drainer([&] {
-    auq.WaitDrained();
-    // The in-flight task must have finished before the drain returned.
-    EXPECT_TRUE(done.load());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release = true;
-  drainer.join();
+  for (const int drain : kDrainBatchSizes) {
+    SCOPED_TRACE("drain_batch_size=" + std::to_string(drain));
+    std::atomic<bool> release{false};
+    std::atomic<bool> done{false};
+    AuqOptions options;
+    options.worker_threads = 1;
+    options.drain_batch_size = drain;
+    AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      done = true;
+      return Status::OK();
+    });
+    ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
+    std::thread drainer([&] {
+      auq.WaitDrained();
+      // The in-flight task must have finished before the drain returned.
+      EXPECT_TRUE(done.load());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release = true;
+    drainer.join();
+  }
 }
 
 TEST(AuqTest, FailedTasksRetryUntilSuccess) {
-  std::atomic<int> attempts{0};
-  AuqOptions options;
-  options.retry_backoff_ms = 1;
-  AsyncUpdateQueue auq(options, [&](const IndexTask&) {
-    // Fail the first three deliveries.
-    if (attempts.fetch_add(1) < 3) return Status::Unavailable("down");
-    return Status::OK();
-  });
-  ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
-  auq.WaitDrained();
-  EXPECT_EQ(attempts.load(), 4);
-  EXPECT_EQ(auq.retries(), 3u);
-  EXPECT_EQ(auq.processed(), 1u);
+  for (const int drain : kDrainBatchSizes) {
+    SCOPED_TRACE("drain_batch_size=" + std::to_string(drain));
+    std::atomic<int> attempts{0};
+    AuqOptions options;
+    options.drain_batch_size = drain;
+    options.retry_backoff_ms = 1;
+    AsyncUpdateQueue auq(options, [&](const IndexTask&) {
+      // Fail the first three deliveries.
+      if (attempts.fetch_add(1) < 3) return Status::Unavailable("down");
+      return Status::OK();
+    });
+    ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
+    auq.WaitDrained();
+    EXPECT_EQ(attempts.load(), 4);
+    EXPECT_EQ(auq.retries(), 3u);
+    EXPECT_EQ(auq.processed(), 1u);
+  }
 }
 
 TEST(AuqTest, PauseNestingFromConcurrentFlushes) {
