@@ -1,5 +1,7 @@
 #include "cluster/catalog.h"
 
+#include "core/index_codec.h"
+
 namespace diffindex {
 
 const char* IndexSchemeName(IndexScheme scheme) {
@@ -63,6 +65,38 @@ Status IndexComponentFromCell(const IndexDescriptor& index,
   DIFFINDEX_RETURN_NOT_OK(
       index.dense_schema.GetField(raw_value, index.dense_field, &value));
   *component = DenseColumnSchema::EncodeFieldForIndex(value);
+  return Status::OK();
+}
+
+std::vector<std::string> IndexColumns(const IndexDescriptor& index) {
+  std::vector<std::string> columns;
+  columns.reserve(1 + index.extra_columns.size());
+  columns.push_back(index.column);
+  columns.insert(columns.end(), index.extra_columns.begin(),
+                 index.extra_columns.end());
+  return columns;
+}
+
+Status DeriveIndexValue(const IndexDescriptor& index,
+                        const IndexColumnReader& read,
+                        std::string* value_encoded) {
+  std::string raw;
+  DIFFINDEX_RETURN_NOT_OK(read(index.column, &raw));
+  std::string primary;
+  DIFFINDEX_RETURN_NOT_OK(IndexComponentFromCell(index, raw, &primary));
+  if (index.extra_columns.empty()) {
+    *value_encoded = std::move(primary);
+    return Status::OK();
+  }
+  std::vector<std::string> components;
+  components.reserve(1 + index.extra_columns.size());
+  components.push_back(std::move(primary));
+  for (const auto& extra : index.extra_columns) {
+    std::string value;
+    DIFFINDEX_RETURN_NOT_OK(read(extra, &value));
+    components.push_back(std::move(value));
+  }
+  *value_encoded = EncodeCompositeIndexValue(components);
   return Status::OK();
 }
 

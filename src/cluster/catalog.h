@@ -6,6 +6,7 @@
 #define DIFFINDEX_CLUSTER_CATALOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,12 +52,37 @@ struct IndexDescriptor {
   std::string index_table;
 };
 
+// The index-entry rule (Section 4.3): a base edit at ts produces an
+// entry whose value encodes IndexColumns(index) and which carries ts;
+// the edit that supersedes it at ts' retracts it at ts' - δ. Every
+// maintenance, repair and audit path derives values through the helpers
+// below.
+
+// [index.column, extra_columns...]: the base columns whose values make
+// up an index entry's value, in component order.
+std::vector<std::string> IndexColumns(const IndexDescriptor& index);
+
 // Computes the index component contributed by the primary indexed
 // column's raw cell value, applying dense-field extraction when the index
 // is configured for it. NotFound when a dense cell lacks the field.
 Status IndexComponentFromCell(const IndexDescriptor& index,
                               const Slice& raw_value,
                               std::string* component);
+
+// Supplies one base column's raw cell value to DeriveIndexValue. NotFound
+// means the column is absent; any other error is passed through.
+using IndexColumnReader =
+    std::function<Status(const std::string& column, std::string* raw_value)>;
+
+// Reads IndexColumns(index) in order through `read`, stopping at the
+// first failure, and encodes them into the entry's index value: the
+// primary component through IndexComponentFromCell, a composite through
+// EncodeCompositeIndexValue. NotFound when a component is absent or a
+// dense cell lacks its field; any other read or extraction error passes
+// through.
+Status DeriveIndexValue(const IndexDescriptor& index,
+                        const IndexColumnReader& read,
+                        std::string* value_encoded);
 
 struct TableDescriptor {
   std::string name;

@@ -27,8 +27,10 @@ Cluster::~Cluster() {
     if (bundle.index_manager != nullptr) bundle.index_manager->Shutdown();
   }
   for (auto& [id, bundle] : servers_) {
-    // Teardown keeps going even if one server's final flush fails.
-    bundle.server->Stop().IgnoreError();
+    // Teardown keeps going even if one server's final flush fails. A
+    // failed Stop() returns before joining the heartbeat thread, which
+    // polls the index manager destroyed below; Crash() joins it.
+    if (!bundle.server->Stop().ok()) bundle.server->Crash();
   }
   if (master_ != nullptr) master_->Stop();
   servers_.clear();
@@ -86,7 +88,6 @@ Status Cluster::Init() {
 Status Cluster::StartServer(NodeId id, ServerBundle* bundle) {
   bundle->server = std::make_shared<RegionServer>(
       id, options_.data_root, fabric_.get(), options_.server);
-  DIFFINDEX_RETURN_NOT_OK(bundle->server->Start());
   // The coprocessors deliver index updates through an internal client
   // whose fabric identity is the server itself.
   ClientOptions internal_opts = options_.client;
@@ -96,8 +97,10 @@ Status Cluster::StartServer(NodeId id, ServerBundle* bundle) {
       std::make_shared<Client>(fabric_.get(), id, internal_opts);
   bundle->index_manager = std::make_unique<IndexManager>(
       bundle->server.get(), bundle->internal_client, &stats_, options_.auq);
+  // Hooks go in before Start(): Start() launches the heartbeat thread,
+  // which reads them.
   bundle->server->SetHooks(bundle->index_manager.get());
-  return Status::OK();
+  return bundle->server->Start();
 }
 
 Status Cluster::AddServer(NodeId id) {

@@ -546,10 +546,6 @@ Status RegionServer::Handle(MsgType type, Slice body, std::string* response) {
       return HandleGetRow(body, response);
     case MsgType::kScanRows:
       return HandleScanRows(body, response);
-    case MsgType::kRawScan:
-      return HandleRawScan(body, response);
-    case MsgType::kRawDelete:
-      return HandleRawDelete(body, response);
     case MsgType::kFlushRegion:
     case MsgType::kCompactRegion:
       return HandleRegionAdmin(type, body);
@@ -990,59 +986,6 @@ Status RegionServer::HandleScanRows(Slice body, std::string* response) {
     resp.rows.resize(req.limit_rows);
   }
   resp.EncodeTo(response);
-  return Status::OK();
-}
-
-Status RegionServer::HandleRawScan(Slice body, std::string* response) {
-  RawScanRequest req;
-  if (!RawScanRequest::DecodeFrom(&body, &req)) {
-    return Status::InvalidArgument("malformed raw scan");
-  }
-  // Raw keys are cell keys; the row portion routes.
-  std::string row, column;
-  if (!DecodeCellKey(req.start_key, &row, &column)) row = req.start_key;
-  auto region = FindRegion(req.table, row);
-  if (region == nullptr) return Status::WrongRegion(req.table);
-
-  std::string end = req.end_key;
-  if (!region->info().end_row.empty()) {
-    const std::string region_end = RowScanStart(region->info().end_row);
-    if (end.empty() || region_end < end) end = region_end;
-  }
-  std::vector<LsmTree::ScanEntry> entries;
-  DIFFINDEX_RETURN_NOT_OK(
-      region->tree()->Scan(req.start_key, end, req.read_ts, req.limit,
-                           &entries));
-  RawScanResponse resp;
-  for (auto& entry : entries) {
-    resp.entries.push_back(
-        RawEntry{std::move(entry.key), std::move(entry.value), entry.ts});
-  }
-  resp.EncodeTo(response);
-  return Status::OK();
-}
-
-Status RegionServer::HandleRawDelete(Slice body, std::string* response) {
-  RawDeleteRequest req;
-  if (!RawDeleteRequest::DecodeFrom(&body, &req)) {
-    return Status::InvalidArgument("malformed raw delete");
-  }
-  std::string row, column;
-  if (!DecodeCellKey(req.key, &row, &column)) row = req.key;
-  auto region = FindRegion(req.table, row);
-  if (region == nullptr) return Status::WrongRegion(req.table);
-
-  PutRequest put;
-  put.table = req.table;
-  put.row = row;
-  put.cells.push_back(Cell{column, "", /*is_delete=*/true});
-  put.ts = req.ts;
-  ReaderMutexLock gate(region->flush_gate());
-  Timestamp applied_ts = 0;
-  DIFFINDEX_RETURN_NOT_OK(
-      LogAndApply(region, put, req.ts, &applied_ts, nullptr));
-  gate.Release();
-  response->clear();
   return Status::OK();
 }
 

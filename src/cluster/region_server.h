@@ -159,7 +159,8 @@ class RegionServer {
   void UpdateCatalog(CatalogSnapshot snapshot);
   CatalogSnapshot catalog() const;
 
-  // Must be set before any indexed put arrives; may be null (no indexes).
+  // Must be set before Start(), whose heartbeat thread reads it; may be
+  // null (no indexes).
   void SetHooks(IndexMaintenanceHooks* hooks) { hooks_ = hooks; }
 
   // ---- Region lifecycle (control plane, called by the master) ----
@@ -269,8 +270,6 @@ class RegionServer {
   Status HandleGetCell(Slice body, std::string* response);
   Status HandleGetRow(Slice body, std::string* response);
   Status HandleScanRows(Slice body, std::string* response);
-  Status HandleRawScan(Slice body, std::string* response);
-  Status HandleRawDelete(Slice body, std::string* response);
   Status HandleRegionAdmin(MsgType type, Slice body);
   Status HandleLocalIndexScan(Slice body, std::string* response);
   Status HandleMultiGet(Slice body, std::string* response);

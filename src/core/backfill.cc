@@ -3,8 +3,49 @@
 #include <algorithm>
 
 #include "core/index_codec.h"
+#include "query/read_repair.h"
 
 namespace diffindex {
+
+namespace {
+
+// The index value a scanned base row carries (DeriveIndexValue over its
+// cells) and the newest timestamp among the cells it used.
+Status DeriveFromRow(const IndexDescriptor& index, const ScannedRow& row,
+                     std::string* value_encoded, Timestamp* ts) {
+  *ts = 0;
+  return DeriveIndexValue(
+      index,
+      [&](const std::string& column, std::string* raw) {
+        for (const RowCell& cell : row.cells) {
+          if (cell.column != column) continue;
+          *raw = cell.value;
+          *ts = std::max(*ts, cell.ts);
+          return Status::OK();
+        }
+        return Status::NotFound("index column absent");
+      },
+      value_encoded);
+}
+
+// Decodes a page of index-table rows into hits at each entry's own
+// timestamp; returns how many rows were undecodable.
+uint64_t DecodeEntries(const std::vector<ScannedRow>& rows,
+                       std::vector<IndexHit>* hits) {
+  uint64_t undecodable = 0;
+  for (const ScannedRow& entry : rows) {
+    IndexHit hit;
+    if (!DecodeIndexRow(entry.row, &hit.value_encoded, &hit.base_row)) {
+      undecodable++;
+      continue;
+    }
+    hit.ts = entry.cells.empty() ? 0 : entry.cells[0].ts;
+    hits->push_back(std::move(hit));
+  }
+  return undecodable;
+}
+
+}  // namespace
 
 Status IndexBackfill::Run(const std::string& base_table,
                           const std::string& index_name,
@@ -13,10 +54,6 @@ Status IndexBackfill::Run(const std::string& base_table,
   IndexDescriptor index;
   DIFFINDEX_RETURN_NOT_OK(
       client_->catalog().FindIndex(base_table, index_name, &index));
-
-  std::vector<std::string> columns;
-  columns.push_back(index.column);
-  for (const auto& extra : index.extra_columns) columns.push_back(extra);
 
   std::string cursor;  // "" = table start
   for (;;) {
@@ -28,37 +65,12 @@ Status IndexBackfill::Run(const std::string& base_table,
 
     for (const ScannedRow& row : rows) {
       report->rows_scanned++;
-      std::vector<std::string> components;
+      std::string value_encoded;
       Timestamp entry_ts = 0;
-      bool missing = false;
-      for (const auto& column : columns) {
-        const RowCell* found = nullptr;
-        for (const RowCell& cell : row.cells) {
-          if (cell.column == column) {
-            found = &cell;
-            break;
-          }
-        }
-        if (found == nullptr) {
-          missing = true;
-          break;
-        }
-        std::string component = found->value;
-        if (column == index.column &&
-            !IndexComponentFromCell(index, found->value, &component).ok()) {
-          missing = true;
-          break;
-        }
-        components.push_back(std::move(component));
-        entry_ts = std::max(entry_ts, found->ts);
-      }
-      if (missing) {
+      if (!DeriveFromRow(index, row, &value_encoded, &entry_ts).ok()) {
         report->rows_skipped++;
         continue;
       }
-      const std::string value_encoded =
-          components.size() == 1 ? components[0]
-                                 : EncodeCompositeIndexValue(components);
       const std::string index_row = EncodeIndexRow(value_encoded, row.row);
       if (stats_ != nullptr) stats_->AddIndexPut();
       // Entry carries the base cell's own timestamp: a concurrent normal
@@ -84,12 +96,9 @@ Status IndexBackfill::Verify(const std::string& base_table,
         "base data on open and cannot drift persistently)");
   }
 
-  std::vector<std::string> columns;
-  columns.push_back(index.column);
-  for (const auto& extra : index.extra_columns) columns.push_back(extra);
-
   // Direction 1: every index entry points at a base row that still
-  // carries the entry's value.
+  // carries the entry's value (the read-repair classifier, one MultiGet
+  // per owning server per page). An undecodable entry counts as stale.
   std::string cursor;
   for (;;) {
     std::vector<ScannedRow> rows;
@@ -97,38 +106,13 @@ Status IndexBackfill::Verify(const std::string& base_table,
                                               kMaxTimestamp, kScanBatch,
                                               &rows));
     if (rows.empty()) break;
-    for (const ScannedRow& entry : rows) {
-      report->entries_scanned++;
-      std::string value_encoded, base_row;
-      if (!DecodeIndexRow(entry.row, &value_encoded, &base_row)) {
-        report->stale_entries++;
-        continue;
-      }
-      std::vector<std::string> components;
-      bool missing = false;
-      for (const auto& column : columns) {
-        std::string value;
-        Status s = client_->GetCell(base_table, base_row, column,
-                                    kMaxTimestamp, &value);
-        if (s.ok() && column == index.column) {
-          std::string component;
-          s = IndexComponentFromCell(index, value, &component);
-          value = std::move(component);
-        }
-        if (s.IsNotFound()) {
-          missing = true;
-          break;
-        }
-        DIFFINDEX_RETURN_NOT_OK(s);
-        components.push_back(std::move(value));
-      }
-      const std::string current =
-          missing ? std::string()
-                  : (components.size() == 1
-                         ? components[0]
-                         : EncodeCompositeIndexValue(components));
-      if (missing || current != value_encoded) report->stale_entries++;
-    }
+    report->entries_scanned += rows.size();
+    std::vector<IndexHit> hits;
+    report->stale_entries += DecodeEntries(rows, &hits);
+    std::vector<IndexHit> stale;
+    DIFFINDEX_RETURN_NOT_OK(
+        ClassifyIndexHits(client_.get(), base_table, index, &hits, &stale));
+    report->stale_entries += stale.size();
     cursor = rows.back().row + '\x01';
   }
 
@@ -142,32 +126,11 @@ Status IndexBackfill::Verify(const std::string& base_table,
     if (rows.empty()) break;
     for (const ScannedRow& row : rows) {
       report->rows_scanned++;
-      std::vector<std::string> components;
-      bool absent = false;
-      for (const auto& column : columns) {
-        const RowCell* found = nullptr;
-        for (const RowCell& cell : row.cells) {
-          if (cell.column == column) {
-            found = &cell;
-            break;
-          }
-        }
-        if (found == nullptr) {
-          absent = true;
-          break;
-        }
-        std::string component = found->value;
-        if (column == index.column &&
-            !IndexComponentFromCell(index, found->value, &component).ok()) {
-          absent = true;
-          break;
-        }
-        components.push_back(std::move(component));
+      std::string value_encoded;
+      Timestamp ts = 0;
+      if (!DeriveFromRow(index, row, &value_encoded, &ts).ok()) {
+        continue;  // nothing to index for this row
       }
-      if (absent) continue;  // nothing to index for this row
-      const std::string value_encoded =
-          components.size() == 1 ? components[0]
-                                 : EncodeCompositeIndexValue(components);
       const std::string index_row = EncodeIndexRow(value_encoded, row.row);
       GetRowResponse entry;
       DIFFINDEX_RETURN_NOT_OK(client_->GetRow(index.index_table, index_row,
@@ -186,11 +149,11 @@ Status IndexBackfill::Cleanse(const std::string& base_table,
   IndexDescriptor index;
   DIFFINDEX_RETURN_NOT_OK(
       client_->catalog().FindIndex(base_table, index_name, &index));
+  const size_t columns = IndexColumns(index).size();
 
-  std::vector<std::string> columns;
-  columns.push_back(index.column);
-  for (const auto& extra : index.extra_columns) columns.push_back(extra);
-
+  // Per page: decode, classify (the read-repair classifier), then retract
+  // every stale entry at its own timestamp in one MultiPutBatch.
+  // Undecodable rows are left alone.
   std::string cursor;
   for (;;) {
     std::vector<ScannedRow> rows;
@@ -198,45 +161,26 @@ Status IndexBackfill::Cleanse(const std::string& base_table,
                                               kMaxTimestamp, kScanBatch,
                                               &rows));
     if (rows.empty()) return Status::OK();
-
-    for (const ScannedRow& entry : rows) {
-      report->entries_scanned++;
-      std::string value_encoded, base_row;
-      if (!DecodeIndexRow(entry.row, &value_encoded, &base_row)) continue;
-      const Timestamp entry_ts =
-          entry.cells.empty() ? 0 : entry.cells[0].ts;
-
-      std::vector<std::string> components;
-      bool missing = false;
-      for (const auto& column : columns) {
-        std::string value;
-        if (stats_ != nullptr) stats_->AddBaseRead();
-        Status s = client_->GetCell(base_table, base_row, column,
-                                    kMaxTimestamp, &value);
-        if (s.ok() && column == index.column) {
-          std::string component;
-          s = IndexComponentFromCell(index, value, &component);
-          value = std::move(component);
-        }
-        if (s.IsNotFound()) {
-          missing = true;
-          break;
-        }
-        DIFFINDEX_RETURN_NOT_OK(s);
-        components.push_back(std::move(value));
+    report->entries_scanned += rows.size();
+    std::vector<IndexHit> hits;
+    DecodeEntries(rows, &hits);
+    const size_t reads = hits.size() * columns;
+    std::vector<IndexHit> stale;
+    DIFFINDEX_RETURN_NOT_OK(
+        ClassifyIndexHits(client_.get(), base_table, index, &hits, &stale));
+    if (stats_ != nullptr) {
+      for (size_t i = 0; i < reads; i++) stats_->AddBaseRead();
+    }
+    if (!stale.empty()) {
+      std::vector<PutRequest> tombstones;
+      tombstones.reserve(stale.size());
+      for (const IndexHit& hit : stale) {
+        if (stats_ != nullptr) stats_->AddIndexPut();
+        tombstones.push_back(StaleEntryTombstone(index, hit));
       }
-      std::string current;
-      if (!missing) {
-        current = components.size() == 1
-                      ? components[0]
-                      : EncodeCompositeIndexValue(components);
-      }
-      if (!missing && current == value_encoded) continue;  // up to date
-
-      if (stats_ != nullptr) stats_->AddIndexPut();
-      DIFFINDEX_RETURN_NOT_OK(client_->Put(index.index_table, entry.row,
-                                           {Cell{"", "", true}}, entry_ts));
-      report->stale_removed++;
+      // Unlike read-repair, a failed ship fails the sweep.
+      DIFFINDEX_RETURN_NOT_OK(client_->MultiPutBatch(std::move(tombstones)));
+      report->stale_removed += stale.size();
     }
     cursor = rows.back().row + '\x01';
   }

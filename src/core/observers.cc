@@ -270,84 +270,152 @@ Status IndexManager::ResolveIndexValue(const IndexTask& task,
                                        bool foreground,
                                        std::optional<std::string>* out) {
   out->reset();
-  std::vector<std::string> columns;
-  columns.push_back(task.index.column);
-  for (const auto& extra : task.index.extra_columns) {
-    columns.push_back(extra);
-  }
-
-  std::vector<std::string> components;
-  components.reserve(columns.size());
-  for (const auto& column : columns) {
-    if (use_task_cells) {
-      const Cell* from_put = nullptr;
-      for (const Cell& cell : task.cells) {
-        if (cell.column == column) {
-          from_put = &cell;
-          break;
-        }
-      }
-      if (from_put != nullptr) {
-        if (from_put->is_delete) return Status::OK();  // column removed
-        std::string component;
-        if (column == task.index.column) {
-          if (!IndexComponentFromCell(task.index, from_put->value,
-                                      &component)
-                   .ok()) {
-            return Status::OK();  // dense cell lacks the indexed field
+  // A failed base read (node down, partition, injected I/O error) means
+  // the value is UNKNOWN, not absent: it is kept apart from the
+  // derivation's NotFound and propagated so the task retries.
+  Status read_error;
+  std::string value;
+  const Status derived = DeriveIndexValue(
+      task.index,
+      [&](const std::string& column, std::string* raw) {
+        if (use_task_cells) {
+          for (const Cell& cell : task.cells) {
+            if (cell.column != column) continue;
+            if (cell.is_delete) return Status::NotFound("column removed");
+            *raw = cell.value;
+            return Status::OK();
           }
-        } else {
-          component = from_put->value;
         }
-        components.push_back(std::move(component));
-        continue;
-      }
-    }
-    // Component not carried by the put (or historical lookup): read the
-    // base table — this is the RB of Algorithms 1 and 4.
-    DIFFINDEX_FAILPOINT("index.read_base");
-    std::string value;
-    Status s = server_->LocalGetCell(task.base_table, task.row, column,
-                                     read_ts, &value, nullptr);
-    if (stats_ != nullptr) {
-      if (foreground) {
-        stats_->AddBaseRead();
-      } else {
-        stats_->AddAsyncBaseRead();
-      }
-    }
-    if (s.IsWrongRegion()) {
-      // Region moved (mid-failover); fall back to a routed read.
-      Timestamp ts_out = 0;
-      s = internal_client_->GetCell(task.base_table, task.row, column,
-                                    read_ts, &value, &ts_out);
-    }
-    if (s.IsNotFound()) return Status::OK();  // no value at read_ts => no entry
-    // Any other failure (node down, partition, injected I/O error) means
-    // the value is UNKNOWN, not absent — propagate so the task retries.
-    DIFFINDEX_RETURN_NOT_OK(s);
-    std::string component;
-    if (column == task.index.column) {
-      if (!IndexComponentFromCell(task.index, value, &component).ok()) {
-        return Status::OK();
-      }
+        // Component not carried by the put (or historical lookup): read
+        // the base table — this is the RB of Algorithms 1 and 4.
+        Status s = ReadBaseCell(task, column, read_ts, foreground, raw);
+        if (!s.ok() && !s.IsNotFound()) read_error = s;
+        return s;
+      },
+      &value);
+  DIFFINDEX_RETURN_NOT_OK(read_error);
+  // Any other failure (a component absent at read_ts, a dense cell
+  // lacking its field) means no index entry.
+  if (derived.ok()) *out = std::move(value);
+  return Status::OK();
+}
+
+Status IndexManager::ReadBaseCell(const IndexTask& task,
+                                  const std::string& column,
+                                  Timestamp read_ts, bool foreground,
+                                  std::string* value) {
+  DIFFINDEX_FAILPOINT("index.read_base");
+  Status s = server_->LocalGetCell(task.base_table, task.row, column,
+                                   read_ts, value, nullptr);
+  if (stats_ != nullptr) {
+    if (foreground) {
+      stats_->AddBaseRead();
     } else {
-      component = std::move(value);
+      stats_->AddAsyncBaseRead();
     }
-    components.push_back(std::move(component));
+  }
+  if (s.IsWrongRegion()) {
+    // Region moved (mid-failover); fall back to a routed read.
+    Timestamp ts_out = 0;
+    s = internal_client_->GetCell(task.base_table, task.row, column, read_ts,
+                                  value, &ts_out);
+  }
+  return s;
+}
+
+Status IndexManager::StageTask(const IndexTask& task, bool insert_only,
+                               bool foreground,
+                               std::vector<PutRequest>* ops) {
+  // Base reads for this task's PI/DI values are about to happen; base
+  // writes racing the resolve interleave here (SU3/BA2).
+  CHECK_YIELD("index.resolve");
+  // Resolve EVERY value before staging anything: a resolution error must
+  // stage nothing, or a half-shipped task would retry its DI later
+  // against a changed base. New entry @ ts from the put itself (SU2/BA4);
+  // a put of a delete-cell produces no new entry ("deletion can be
+  // treated as a put with a null value").
+  std::optional<std::string> new_value;
+  DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(
+      task, task.ts, /*use_task_cells=*/true, foreground, &new_value));
+  // SU3/BA2, once per covered put (sync-insert stops at SU2): the value
+  // current just before that put — RB(k, old_ts - δ); the δ matters,
+  // reading at ts would return the value just written. A plain task has
+  // exactly one point (old_ts == ts); a coalesced survivor replays every
+  // absorbed task's point too.
+  std::vector<std::pair<Timestamp, std::string>> old_entries;
+  if (!insert_only) {
+    for (const Timestamp old_ts : RetractionPoints(task)) {
+      std::optional<std::string> old_value;
+      DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(task, old_ts - kDelta,
+                                                /*use_task_cells=*/false,
+                                                foreground, &old_value));
+      if (old_value.has_value()) {
+        old_entries.emplace_back(old_ts, std::move(*old_value));
+      }
+    }
   }
 
-  if (components.size() == 1) {
-    *out = components[0];
-  } else {
-    *out = EncodeCompositeIndexValue(components);
+  const size_t before = ops->size();
+  Status s;
+  if (new_value.has_value()) {
+    s = StagePutIndexEntry(task.index.index_table,
+                           EncodeIndexRow(*new_value, task.row), task.ts,
+                           foreground, ops);
+  }
+  // SU4/BA3: delete each old entry at old_ts - δ. With vold == vnew the
+  // rows coincide, but a tombstone at old_ts - δ cannot mask the new
+  // entry at ts (Section 4.3).
+  for (const auto& [old_ts, old_value] : old_entries) {
+    if (!s.ok()) break;
+    s = StageDeleteIndexEntry(task.index.index_table,
+                              EncodeIndexRow(old_value, task.row),
+                              old_ts - kDelta, foreground, ops);
+  }
+  // Injected PI/DI failure: retract the task's half-staged ops so only
+  // whole tasks ship.
+  if (!s.ok()) ops->resize(before);
+  return s;
+}
+
+Status IndexManager::ProcessTask(const IndexTask& task, bool insert_only,
+                                 bool foreground) {
+  std::vector<PutRequest> ops;
+  DIFFINDEX_RETURN_NOT_OK(StageTask(task, insert_only, foreground, &ops));
+  // One index RPC per op, PI first: a reader can still interleave
+  // between the new entry and the old entry's retraction (Section 4.3
+  // tolerates both being visible; the terminal oracle must not).
+  for (PutRequest& op : ops) {
+    CHECK_YIELD("index.ship");
+    DIFFINDEX_RETURN_NOT_OK(internal_client_->Put(
+        op.table, op.row, std::move(op.cells), op.ts));
   }
   return Status::OK();
 }
 
-Status IndexManager::PutIndexEntry(const std::string& index_table,
-                                   const std::string& index_row, Timestamp ts,
-                                   bool foreground) {
+Status IndexManager::StagePutIndexEntry(const std::string& index_table,
+                                        const std::string& index_row,
+                                        Timestamp ts, bool foreground,
+                                        std::vector<PutRequest>* ops) {
+  // PI step (SU2/BA4): key-only entry, concatenated rowkey, null value
+  // (Section 4).
+  return StageIndexEntry(index_table, index_row, ts, /*is_delete=*/false,
+                         foreground, ops);
+}
+
+Status IndexManager::StageDeleteIndexEntry(const std::string& index_table,
+                                           const std::string& index_row,
+                                           Timestamp ts, bool foreground,
+                                           std::vector<PutRequest>* ops) {
+  // DI step (SU4/BA3); deletes cost the same as puts in an LSM.
+  return StageIndexEntry(index_table, index_row, ts, /*is_delete=*/true,
+                         foreground, ops);
+}
+
+Status IndexManager::StageIndexEntry(const std::string& index_table,
+                                     const std::string& index_row,
+                                     Timestamp ts, bool is_delete,
+                                     bool foreground,
+                                     std::vector<PutRequest>* ops) {
   if (stats_ != nullptr) {
     if (foreground) {
       stats_->AddIndexPut();
@@ -355,99 +423,15 @@ Status IndexManager::PutIndexEntry(const std::string& index_table,
       stats_->AddAsyncIndexPut();
     }
   }
-  // PI step (SU2/BA4).
-  DIFFINDEX_FAILPOINT("index.put");
-  // Key-only entry: concatenated rowkey, null value (Section 4).
-  return internal_client_->Put(index_table, index_row,
-                               {Cell{"", "", /*is_delete=*/false}}, ts);
-}
-
-Status IndexManager::DeleteIndexEntry(const std::string& index_table,
-                                      const std::string& index_row,
-                                      Timestamp ts, bool foreground) {
-  if (stats_ != nullptr) {
-    if (foreground) {
-      stats_->AddIndexPut();  // deletes cost the same as puts in LSM
-    } else {
-      stats_->AddAsyncIndexPut();
-    }
+  if (is_delete) {
+    DIFFINDEX_FAILPOINT("index.delete");
+  } else {
+    DIFFINDEX_FAILPOINT("index.put");
   }
-  // DI step (SU4/BA3).
-  DIFFINDEX_FAILPOINT("index.delete");
-  return internal_client_->Put(index_table, index_row,
-                               {Cell{"", "", /*is_delete=*/true}}, ts);
-}
-
-Status IndexManager::ProcessTask(const IndexTask& task, bool insert_only,
-                                 bool foreground) {
-  // New index entry @ ts: value from the put itself (SU2/BA4). A put of a
-  // delete-cell produces no new entry ("deletion can be treated as a put
-  // with a null value").
-  std::optional<std::string> new_value;
-  DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(
-      task, task.ts, /*use_task_cells=*/true, foreground, &new_value));
-
-  if (new_value.has_value()) {
-    const std::string new_row =
-        EncodeIndexRow(*new_value, task.row);
-    // PI about to land: index readers racing the entry's visibility
-    // interleave here (SU2/BA4).
-    CHECK_YIELD("index.stage.put");
-    DIFFINDEX_RETURN_NOT_OK(
-        PutIndexEntry(task.index.index_table, new_row, task.ts, foreground));
-  }
-
-  if (insert_only) return Status::OK();  // sync-insert stops at SU2
-
-  // SU3/BA2 + SU4/BA3, once per covered put: read the value current just
-  // before that put — RB(k, old_ts - δ); the δ matters, reading at ts
-  // would return the value just written — and delete its entry at
-  // old_ts - δ. With vold == vnew the rows coincide, but a tombstone at
-  // old_ts - δ cannot mask the new entry at ts (Section 4.3). A plain
-  // task has exactly one point (old_ts == ts); a coalesced survivor
-  // replays every absorbed task's point too.
-  for (const Timestamp old_ts : RetractionPoints(task)) {
-    // Window between PI and this anchor's DI: a reader here sees both
-    // the new and the not-yet-retracted old entry (Section 4.3 tolerates
-    // it; the terminal oracle must not).
-    CHECK_YIELD("index.retract");
-    std::optional<std::string> old_value;
-    DIFFINDEX_RETURN_NOT_OK(ResolveIndexValue(task, old_ts - kDelta,
-                                              /*use_task_cells=*/false,
-                                              foreground, &old_value));
-    if (!old_value.has_value()) continue;  // fresh insert at this point
-    const std::string old_row = EncodeIndexRow(*old_value, task.row);
-    DIFFINDEX_RETURN_NOT_OK(DeleteIndexEntry(
-        task.index.index_table, old_row, old_ts - kDelta, foreground));
-  }
-  return Status::OK();
-}
-
-Status IndexManager::StagePutIndexEntry(const std::string& index_table,
-                                        const std::string& index_row,
-                                        Timestamp ts,
-                                        std::vector<PutRequest>* ops) {
-  if (stats_ != nullptr) stats_->AddAsyncIndexPut();
-  DIFFINDEX_FAILPOINT("index.put");
   PutRequest req;
   req.table = index_table;
   req.row = index_row;
-  req.cells = {Cell{"", "", /*is_delete=*/false}};
-  req.ts = ts;
-  ops->push_back(std::move(req));
-  return Status::OK();
-}
-
-Status IndexManager::StageDeleteIndexEntry(const std::string& index_table,
-                                           const std::string& index_row,
-                                           Timestamp ts,
-                                           std::vector<PutRequest>* ops) {
-  if (stats_ != nullptr) stats_->AddAsyncIndexPut();
-  DIFFINDEX_FAILPOINT("index.delete");
-  PutRequest req;
-  req.table = index_table;
-  req.row = index_row;
-  req.cells = {Cell{"", "", /*is_delete=*/true}};
+  req.cells = {Cell{"", "", is_delete}};
   req.ts = ts;
   ops->push_back(std::move(req));
   return Status::OK();
@@ -459,53 +443,9 @@ void IndexManager::ProcessTaskBatch(const std::vector<IndexTask>& tasks,
   std::vector<PutRequest> staged;
   std::vector<bool> shipped(tasks.size(), false);
   for (size_t i = 0; i < tasks.size(); i++) {
-    const IndexTask& task = tasks[i];
-    // Base reads for this task's PI/DI values are about to happen; base
-    // writes racing the batched resolve interleave here (BA2).
-    CHECK_YIELD("index.batch.resolve");
-    // Resolve BOTH values before staging anything for this task: a
-    // resolution error must stage nothing, or a half-staged task would
-    // ship its PI now and retry its DI later against a changed base.
-    std::optional<std::string> new_value;
-    Status s = ResolveIndexValue(task, task.ts, /*use_task_cells=*/true,
-                                 /*foreground=*/false, &new_value);
-    // (retraction point, old value there) for every covered put.
-    std::vector<std::pair<Timestamp, std::string>> old_entries;
-    if (s.ok()) {
-      for (const Timestamp old_ts : RetractionPoints(task)) {
-        std::optional<std::string> old_value;
-        s = ResolveIndexValue(task, old_ts - kDelta,
-                              /*use_task_cells=*/false,
-                              /*foreground=*/false, &old_value);
-        if (!s.ok()) break;
-        if (old_value.has_value()) {
-          old_entries.emplace_back(old_ts, std::move(*old_value));
-        }
-      }
-    }
-    if (!s.ok()) {
-      (*statuses)[i] = s;
-      continue;
-    }
     const size_t before = staged.size();
-    if (new_value.has_value()) {
-      s = StagePutIndexEntry(task.index.index_table,
-                             EncodeIndexRow(*new_value, task.row), task.ts,
-                             &staged);
-    }
-    for (const auto& [old_ts, old_value] : old_entries) {
-      if (!s.ok()) break;
-      s = StageDeleteIndexEntry(task.index.index_table,
-                                EncodeIndexRow(old_value, task.row),
-                                old_ts - kDelta, &staged);
-    }
-    if (!s.ok()) {
-      // Injected PI/DI failure: retract the task's half-staged ops so the
-      // shipped batch carries only whole tasks.
-      staged.resize(before);
-      (*statuses)[i] = s;
-      continue;
-    }
+    (*statuses)[i] = StageTask(tasks[i], /*insert_only=*/false,
+                               /*foreground=*/false, &staged);
     shipped[i] = staged.size() > before;
   }
   if (staged.empty()) return;
@@ -519,7 +459,7 @@ void IndexManager::ProcessTaskBatch(const std::vector<IndexTask>& tasks,
     // the whole batch retries and re-delivery is idempotent because index
     // entries reuse the base timestamps.
     for (size_t i = 0; i < tasks.size(); i++) {
-      if (shipped[i] && (*statuses)[i].ok()) (*statuses)[i] = ship;
+      if (shipped[i]) (*statuses)[i] = ship;
     }
   }
 }

@@ -57,50 +57,63 @@ class IndexManager final : public IndexMaintenanceHooks {
   void Abandon();
 
  private:
-  // Applies one task synchronously (shared by sync-full foreground and the
-  // APS backend): read-old, delete-old, put-new per the scheme's needs.
-  // `insert_only` limits it to SU2 (sync-insert); `foreground` selects the
-  // stats bucket.
+  // Applies one task synchronously (shared by the sync schemes'
+  // foreground and the per-task APS backend): StageTask, then one
+  // Client::Put per staged op, in order — per-op index RPCs, as Table 2
+  // counts them. `insert_only` limits it to SU2 (sync-insert);
+  // `foreground` selects the stats bucket.
   Status ProcessTask(const IndexTask& task, bool insert_only,
                      bool foreground);
 
-  // Resolves the index's component values at `read_ts` (values present in
-  // `task.cells` win — they are the just-written ones at task.ts). On OK,
-  // `*out` is nullopt iff some component is definitively absent (=> no
-  // index entry). A failed base read (node down, injected I/O error, ...)
-  // returns its error instead of masquerading as "absent": the caller must
-  // retry, or a missed old-entry delete would leave a phantom forever.
+  // Batched APS backend (drain_batch_size > 1): StageTask per task, then
+  // every staged op ships grouped by owning server in one multi-put RPC
+  // per server (Client::MultiPutBatch). One status per task; a transport
+  // failure fails every task that staged work — the retried delivery is
+  // idempotent under the same-timestamp rule.
+  void ProcessTaskBatch(const std::vector<IndexTask>& tasks,
+                        std::vector<Status>* statuses);
+
+  // The one home of Algorithms 1/4: resolves the new value at task.ts
+  // and, unless `insert_only`, the old value at every RetractionPoints
+  // anchor's old_ts - δ, then appends the PI (at ts) and DI (at
+  // old_ts - δ) mutations to `ops`. Every value is resolved before
+  // anything is staged, and an error stages nothing.
+  Status StageTask(const IndexTask& task, bool insert_only, bool foreground,
+                   std::vector<PutRequest>* ops);
+
+  // Resolves the index's value at `read_ts` through DeriveIndexValue
+  // (values present in `task.cells` win — they are the just-written ones
+  // at task.ts). On OK, `*out` is nullopt iff there is no index entry (a
+  // component absent, a dense field missing). A failed base read (node
+  // down, injected I/O error, ...) returns its error instead of
+  // masquerading as "absent": the caller must retry, or a missed
+  // old-entry delete would leave a phantom forever.
   Status ResolveIndexValue(const IndexTask& task, Timestamp read_ts,
                            bool use_task_cells, bool foreground,
                            std::optional<std::string>* out);
+  // The RB step: one base cell at `read_ts`, local first, routed when
+  // the region has moved. NotFound when absent.
+  Status ReadBaseCell(const IndexTask& task, const std::string& column,
+                      Timestamp read_ts, bool foreground, std::string* value);
 
   // True if the put touches any component of the index.
   static bool Touches(const IndexDescriptor& index,
                       const std::vector<Cell>& cells);
 
-  Status PutIndexEntry(const std::string& index_table,
-                       const std::string& index_row, Timestamp ts,
-                       bool foreground);
-  Status DeleteIndexEntry(const std::string& index_table,
-                          const std::string& index_row, Timestamp ts,
-                          bool foreground);
-
-  // Batched APS backend: resolves every task's new/old values, stages the
-  // PI/DI operations, and ships them grouped by owning server in one
-  // multi-put RPC per server (Client::MultiPutBatch). One status per task;
-  // a transport failure fails every task that staged work — the retried
-  // delivery is idempotent under the same-timestamp rule.
-  void ProcessTaskBatch(const std::vector<IndexTask>& tasks,
-                        std::vector<Status>* statuses);
-  // Staged (deferred) forms of PutIndexEntry/DeleteIndexEntry: append the
-  // index mutation to `ops` instead of shipping it immediately. Same
-  // failpoints and stats buckets as the direct forms.
+  // Append one PI / DI mutation to `ops`, after counting it in the
+  // `foreground` (or async) stats bucket and consulting the `index.put`
+  // / `index.delete` failpoint — at staging, before anything ships.
   Status StagePutIndexEntry(const std::string& index_table,
                             const std::string& index_row, Timestamp ts,
-                            std::vector<PutRequest>* ops);
+                            bool foreground, std::vector<PutRequest>* ops);
   Status StageDeleteIndexEntry(const std::string& index_table,
                                const std::string& index_row, Timestamp ts,
+                               bool foreground,
                                std::vector<PutRequest>* ops);
+  Status StageIndexEntry(const std::string& index_table,
+                         const std::string& index_row, Timestamp ts,
+                         bool is_delete, bool foreground,
+                         std::vector<PutRequest>* ops);
 
   // Local-index (Section 3.1) maintenance: all operations stay on this
   // server — the old-value read is local and the entry writes go to the

@@ -156,21 +156,6 @@ bool QueryEngine::RowMatches(const ScannedRow& row,
   return true;
 }
 
-void QueryEngine::Project(const std::vector<std::string>& projection,
-                          std::vector<ScannedRow>* rows) {
-  if (projection.empty()) return;
-  for (ScannedRow& row : *rows) {
-    std::vector<RowCell> kept;
-    for (RowCell& cell : row.cells) {
-      if (std::find(projection.begin(), projection.end(), cell.column) !=
-          projection.end()) {
-        kept.push_back(std::move(cell));
-      }
-    }
-    row.cells = std::move(kept);
-  }
-}
-
 Status QueryEngine::Execute(const Query& query,
                             std::vector<ScannedRow>* rows) {
   rows->clear();
@@ -214,7 +199,7 @@ Status QueryEngine::Execute(const Query& query,
     rows->push_back(std::move(row));
     if (query.limit != 0 && rows->size() >= query.limit) break;
   }
-  Project(query.projection, rows);
+  for (ScannedRow& row : *rows) ProjectCells(query.projection, &row);
   return Status::OK();
 }
 

@@ -67,8 +67,6 @@ class QueryEngine {
  private:
   static bool RowMatches(const ScannedRow& row,
                          const std::vector<Predicate>& predicates);
-  static void Project(const std::vector<std::string>& projection,
-                      std::vector<ScannedRow>* rows);
 
   DiffIndexClient* const client_;
 };

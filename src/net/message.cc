@@ -26,10 +26,6 @@ const char* MsgTypeName(MsgType type) {
       return "get_row";
     case MsgType::kScanRows:
       return "scan_rows";
-    case MsgType::kRawScan:
-      return "raw_scan";
-    case MsgType::kRawDelete:
-      return "raw_delete";
     case MsgType::kHeartbeat:
       return "heartbeat";
     case MsgType::kFetchLayout:
@@ -252,21 +248,7 @@ bool ScanRowsResponse::DecodeFrom(Slice* in, ScanRowsResponse* resp) {
   return true;
 }
 
-// ---- RawScan / RawDelete ----
-
-void RawScanRequest::EncodeTo(std::string* out) const {
-  PutString(out, table);
-  PutString(out, start_key);
-  PutString(out, end_key);
-  PutFixed64(out, read_ts);
-  PutVarint32(out, limit);
-}
-
-bool RawScanRequest::DecodeFrom(Slice* in, RawScanRequest* req) {
-  return GetString(in, &req->table) && GetString(in, &req->start_key) &&
-         GetString(in, &req->end_key) && GetFixed64(in, &req->read_ts) &&
-         GetVarint32(in, &req->limit);
-}
+// ---- RawScanResponse ----
 
 void RawScanResponse::EncodeTo(std::string* out) const {
   PutVarint32(out, static_cast<uint32_t>(entries.size()));
@@ -289,17 +271,6 @@ bool RawScanResponse::DecodeFrom(Slice* in, RawScanResponse* resp) {
     }
   }
   return true;
-}
-
-void RawDeleteRequest::EncodeTo(std::string* out) const {
-  PutString(out, table);
-  PutString(out, key);
-  PutFixed64(out, ts);
-}
-
-bool RawDeleteRequest::DecodeFrom(Slice* in, RawDeleteRequest* req) {
-  return GetString(in, &req->table) && GetString(in, &req->key) &&
-         GetFixed64(in, &req->ts);
 }
 
 // ---- Cluster management ----

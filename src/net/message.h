@@ -26,8 +26,6 @@ enum class MsgType : uint8_t {
   kGetCell = 2,   // read one cell
   kGetRow = 3,    // read all columns of one row
   kScanRows = 4,  // scan rows in a row-key range
-  kRawScan = 5,   // scan raw cell keyspace (index lookups)
-  kRawDelete = 6, // delete a raw cell key at a timestamp (index repair)
   kHeartbeat = 7,       // region server -> master
   kFetchLayout = 8,     // client -> master: routing table + catalog
   kFlushRegion = 9,     // admin: force a region flush
@@ -152,20 +150,8 @@ struct ScanRowsResponse {
   static bool DecodeFrom(Slice* in, ScanRowsResponse* resp);
 };
 
-// Raw scans/deletes address the underlying cell keyspace directly; index
-// tables are key-only so their "rows" are the concatenated
-// value ⊕ rowkey entries.
-struct RawScanRequest {
-  std::string table;
-  std::string start_key;
-  std::string end_key;  // exclusive; empty = unbounded
-  Timestamp read_ts = kMaxTimestamp;
-  uint32_t limit = 0;
-
-  void EncodeTo(std::string* out) const;
-  static bool DecodeFrom(Slice* in, RawScanRequest* req);
-};
-
+// One entry of the raw cell keyspace, as a local-index scan returns it
+// (a local index's keys are the concatenated value ⊕ rowkey entries).
 struct RawEntry {
   std::string key;
   std::string value;
@@ -177,15 +163,6 @@ struct RawScanResponse {
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, RawScanResponse* resp);
-};
-
-struct RawDeleteRequest {
-  std::string table;
-  std::string key;
-  Timestamp ts = 0;  // tombstone timestamp (masks versions <= ts)
-
-  void EncodeTo(std::string* out) const;
-  static bool DecodeFrom(Slice* in, RawDeleteRequest* req);
 };
 
 struct HeartbeatRequest {

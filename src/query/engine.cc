@@ -38,8 +38,8 @@ class LegLatch {
   size_t remaining_ GUARDED_BY(mu_);
 };
 
-// Keeps only the cells whose column is in `projection`, preserving cell
-// order — the same filter as QueryEngine's projection over fetched rows.
+}  // namespace
+
 void ProjectCells(const std::vector<std::string>& projection,
                   ScannedRow* row) {
   if (projection.empty()) return;
@@ -53,8 +53,6 @@ void ProjectCells(const std::vector<std::string>& projection,
   }
   row->cells = std::move(kept);
 }
-
-}  // namespace
 
 // ---- IndexScanner ----
 

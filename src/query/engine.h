@@ -76,6 +76,12 @@ struct ScanPage {
   bool covered = false;  // rows came from the index alone
 };
 
+// Keeps only the cells whose column is in `projection`, preserving cell
+// order; an empty projection keeps every cell. The one projection filter
+// of the read side (ReadEngine rows and QueryEngine results).
+void ProjectCells(const std::vector<std::string>& projection,
+                  ScannedRow* row);
+
 struct ReadEngineOptions {
   int max_parallel_legs = 4;  // scatter-gather thread-pool size
   // Page-level retry on WrongRegion/Unavailable: capped-exponential

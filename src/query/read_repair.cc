@@ -3,34 +3,16 @@
 #include <utility>
 
 #include "check/yield.h"
-#include "core/index_codec.h"
 #include "obs/trace.h"
 
 namespace diffindex {
 
-namespace {
-
-// [index.column, extra_columns...] — the columns whose current base
-// values recompute the entry's encoded index value.
-std::vector<std::string> VerificationColumns(const IndexDescriptor& index) {
-  std::vector<std::string> columns;
-  columns.reserve(1 + index.extra_columns.size());
-  columns.push_back(index.column);
-  for (const auto& extra : index.extra_columns) columns.push_back(extra);
-  return columns;
-}
-
-}  // namespace
-
-Status BatchedRepairHits(Client* client, OpStats* stats,
-                         const std::string& base_table,
+Status ClassifyIndexHits(Client* client, const std::string& base_table,
                          const IndexDescriptor& index,
-                         std::vector<IndexHit>* hits) {
+                         std::vector<IndexHit>* hits,
+                         std::vector<IndexHit>* stale) {
   if (hits->empty()) return Status::OK();
-  obs::MetricsRegistry* metrics = client->metrics();
-  obs::SpanTimer span(metrics, client->traces(), "query.repair");
-
-  const std::vector<std::string> columns = VerificationColumns(index);
+  const std::vector<std::string> columns = IndexColumns(index);
 
   // One flat key list; Client::MultiGet groups it into one RPC per
   // owning server.
@@ -44,69 +26,81 @@ Status BatchedRepairHits(Client* client, OpStats* stats,
   std::vector<MultiGetEntry> entries;
   DIFFINDEX_RETURN_NOT_OK(
       client->MultiGet(base_table, keys, kMaxTimestamp, &entries));
-  if (stats != nullptr) {
-    for (size_t i = 0; i < keys.size(); i++) stats->AddBaseRead();
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("query.base_reads")->Add(keys.size());
-    metrics->GetCounter("query.repair.checked")->Add(hits->size());
-    metrics->GetHistogram("query.repair.batch_size")->Add(keys.size());
-  }
 
+  // Classify everything before moving any hit, so an error leaves
+  // `*hits` untouched.
+  std::vector<bool> live(hits->size());
+  for (size_t i = 0; i < hits->size(); i++) {
+    // DeriveIndexValue reads IndexColumns order, the order of `keys`.
+    size_t next = i * columns.size();
+    std::string current;
+    Status s = DeriveIndexValue(
+        index,
+        [&](const std::string&, std::string* raw) {
+          const MultiGetEntry& entry = entries[next++];
+          if (!entry.found) return Status::NotFound("index column absent");
+          *raw = entry.value;
+          return Status::OK();
+        },
+        &current);
+    if (!s.ok() && !s.IsNotFound()) return s;
+    live[i] = s.ok() && current == (*hits)[i].value_encoded;
+  }
   std::vector<IndexHit> verified;
   verified.reserve(hits->size());
-  std::vector<PutRequest> tombstones;
-  size_t cursor = 0;
-  for (IndexHit& hit : *hits) {
-    std::vector<std::string> components;
-    bool missing = false;
-    for (const auto& column : columns) {
-      const MultiGetEntry& entry = entries[cursor++];
-      if (!entry.found) {
-        missing = true;
-        continue;  // remaining columns were fetched anyway; skip them
-      }
-      std::string component = entry.value;
-      if (column == index.column) {
-        Status s = IndexComponentFromCell(index, entry.value, &component);
-        if (s.IsNotFound()) {
-          missing = true;
-          continue;
-        }
-        DIFFINDEX_RETURN_NOT_OK(s);
-      }
-      components.push_back(std::move(component));
-    }
-
-    std::string current_encoded;
-    if (!missing) {
-      current_encoded = components.size() == 1
-                            ? components[0]
-                            : EncodeCompositeIndexValue(components);
-    }
-    if (!missing && current_encoded == hit.value_encoded) {
-      verified.push_back(std::move(hit));
-      continue;
-    }
-    if (metrics != nullptr) {
-      metrics->GetCounter("query.repair.deleted")->Add();
-    }
-    if (stats != nullptr) stats->AddIndexPut();
-    PutRequest del;
-    del.table = index.index_table;
-    del.row = EncodeIndexRow(hit.value_encoded, hit.base_row);
-    del.cells.push_back(Cell{"", "", /*is_delete=*/true});
-    del.ts = hit.ts;
-    tombstones.push_back(std::move(del));
-  }
-
-  if (!tombstones.empty()) {
-    CHECK_YIELD("query.repair");
-    // Best-effort, like the sequential path: a failed delete leaves the
-    // entry stale for a later read to repair.
-    client->MultiPutBatch(std::move(tombstones)).IgnoreError();
+  for (size_t i = 0; i < hits->size(); i++) {
+    (live[i] ? verified : *stale).push_back(std::move((*hits)[i]));
   }
   *hits = std::move(verified);
+  return Status::OK();
+}
+
+PutRequest StaleEntryTombstone(const IndexDescriptor& index,
+                               const IndexHit& hit) {
+  PutRequest del;
+  del.table = index.index_table;
+  del.row = EncodeIndexRow(hit.value_encoded, hit.base_row);
+  del.cells.push_back(Cell{"", "", /*is_delete=*/true});
+  del.ts = hit.ts;
+  return del;
+}
+
+Status BatchedRepairHits(Client* client, OpStats* stats,
+                         const std::string& base_table,
+                         const IndexDescriptor& index,
+                         std::vector<IndexHit>* hits) {
+  if (hits->empty()) return Status::OK();
+  obs::MetricsRegistry* metrics = client->metrics();
+  obs::SpanTimer span(metrics, client->traces(), "query.repair");
+
+  const size_t checked = hits->size();
+  const size_t reads = checked * IndexColumns(index).size();
+  std::vector<IndexHit> stale;
+  DIFFINDEX_RETURN_NOT_OK(
+      ClassifyIndexHits(client, base_table, index, hits, &stale));
+  if (stats != nullptr) {
+    for (size_t i = 0; i < reads; i++) stats->AddBaseRead();
+    for (size_t i = 0; i < stale.size(); i++) stats->AddIndexPut();
+  }
+  if (metrics != nullptr) {
+    metrics->GetCounter("query.base_reads")->Add(reads);
+    metrics->GetCounter("query.repair.checked")->Add(checked);
+    metrics->GetHistogram("query.repair.batch_size")->Add(reads);
+    if (!stale.empty()) {
+      metrics->GetCounter("query.repair.deleted")->Add(stale.size());
+    }
+  }
+  if (stale.empty()) return Status::OK();
+
+  std::vector<PutRequest> tombstones;
+  tombstones.reserve(stale.size());
+  for (const IndexHit& hit : stale) {
+    tombstones.push_back(StaleEntryTombstone(index, hit));
+  }
+  CHECK_YIELD("query.repair");
+  // Best-effort, like the sequential path: a failed delete leaves the
+  // entry stale for a later read to repair.
+  client->MultiPutBatch(std::move(tombstones)).IgnoreError();
   return Status::OK();
 }
 
@@ -118,42 +112,26 @@ Status SequentialRepairHits(Client* client, OpStats* stats,
   obs::MetricsRegistry* metrics = client->metrics();
   obs::SpanTimer span(metrics, client->traces(), "query.repair");
 
-  const std::vector<std::string> columns = VerificationColumns(index);
   std::vector<IndexHit> verified;
   verified.reserve(hits->size());
   for (IndexHit& hit : *hits) {
     if (metrics != nullptr) {
       metrics->GetCounter("query.repair.checked")->Add();
     }
-    std::vector<std::string> components;
-    bool missing = false;
-    for (const auto& column : columns) {
-      std::string value;
-      if (stats != nullptr) stats->AddBaseRead();
-      if (metrics != nullptr) metrics->GetCounter("query.base_reads")->Add();
-      Status s =
-          client->GetCell(base_table, hit.base_row, column, kMaxTimestamp,
-                          &value);
-      if (s.ok() && column == index.column) {
-        std::string component;
-        s = IndexComponentFromCell(index, value, &component);
-        value = std::move(component);
-      }
-      if (s.IsNotFound()) {
-        missing = true;
-        break;
-      }
-      DIFFINDEX_RETURN_NOT_OK(s);
-      components.push_back(std::move(value));
-    }
-
-    std::string current_encoded;
-    if (!missing) {
-      current_encoded = components.size() == 1
-                            ? components[0]
-                            : EncodeCompositeIndexValue(components);
-    }
-    if (!missing && current_encoded == hit.value_encoded) {
+    std::string current;
+    Status s = DeriveIndexValue(
+        index,
+        [&](const std::string& column, std::string* raw) {
+          if (stats != nullptr) stats->AddBaseRead();
+          if (metrics != nullptr) {
+            metrics->GetCounter("query.base_reads")->Add();
+          }
+          return client->GetCell(base_table, hit.base_row, column,
+                                 kMaxTimestamp, raw);
+        },
+        &current);
+    if (!s.ok() && !s.IsNotFound()) return s;
+    if (s.ok() && current == hit.value_encoded) {
       verified.push_back(std::move(hit));
       continue;
     }
@@ -161,12 +139,10 @@ Status SequentialRepairHits(Client* client, OpStats* stats,
       metrics->GetCounter("query.repair.deleted")->Add();
     }
     if (stats != nullptr) stats->AddIndexPut();
+    const PutRequest del = StaleEntryTombstone(index, hit);
     // Best-effort, like the batched path above: a failed delete leaves
     // the stale entry for a later read to repair.
-    client
-        ->Put(index.index_table, EncodeIndexRow(hit.value_encoded, hit.base_row),
-              {Cell{"", "", /*is_delete=*/true}}, hit.ts)
-        .IgnoreError();
+    client->Put(del.table, del.row, del.cells, del.ts).IgnoreError();
   }
   *hits = std::move(verified);
   return Status::OK();

@@ -18,10 +18,11 @@ class FixtureClean {
     MutexLock lock(mu_);
     auto owned = std::make_unique<int>(7);
     (void)owned;
-    DIFFINDEX_RETURN_NOT_OK(
-        mgr->PutIndexEntry(task.index.index_table, new_row, task.ts, fg));
-    return mgr->DeleteIndexEntry(task.index.index_table, old_row,
-                                 task.ts - kDelta, fg);
+    std::vector<PutRequest> ops;
+    DIFFINDEX_RETURN_NOT_OK(mgr->StagePutIndexEntry(
+        task.index.index_table, new_row, task.ts, fg, &ops));
+    return mgr->StageDeleteIndexEntry(task.index.index_table, old_row,
+                                      task.ts - kDelta, fg, &ops);
   }
 
  private:

@@ -10,9 +10,72 @@
 
 #include "cluster/cluster.h"
 #include "core/backfill.h"
+#include "core/dense_column.h"
 
 namespace diffindex {
 namespace {
+
+// The index shapes the shared derivation (DeriveIndexValue) handles: one
+// column, a composite over extra_columns, and a field inside a dense
+// column. Backfill, Verify and Cleanse must treat all three alike.
+enum class Shape { kSingle, kComposite, kDense };
+constexpr Shape kShapes[] = {Shape::kSingle, Shape::kComposite,
+                             Shape::kDense};
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kSingle:
+      return "single";
+    case Shape::kComposite:
+      return "composite";
+    case Shape::kDense:
+      return "dense";
+  }
+  return "?";
+}
+
+DenseColumnSchema DenseSchema() {
+  return DenseColumnSchema(
+      {{"k", DenseFieldType::kString}, {"n", DenseFieldType::kUint64}});
+}
+
+// The cells of a row whose index value is `value` under `shape`.
+std::vector<Cell> ShapeCells(Shape shape, const std::string& value) {
+  switch (shape) {
+    case Shape::kSingle:
+      return {Cell{"c", value, false}};
+    case Shape::kComposite:
+      return {Cell{"c", value, false}, Cell{"d", "x", false}};
+    case Shape::kDense: {
+      std::string cell;
+      EXPECT_TRUE(
+          DenseSchema()
+              .Encode({DenseValue::String(value), DenseValue::Uint64(7)}, &cell)
+              .ok());
+      return {Cell{"c", cell, false}};
+    }
+  }
+  return {};
+}
+
+// The cells of a row that lacks an index component under `shape` (for
+// a composite, the extra column), so it has no index entry.
+std::vector<Cell> PartialCells(Shape shape) {
+  if (shape == Shape::kComposite) return {Cell{"c", "v", false}};
+  return {Cell{"other", "z", false}};
+}
+
+IndexDescriptor ShapeIndex(Shape shape) {
+  IndexDescriptor index;
+  index.name = "by_c";
+  index.column = "c";
+  if (shape == Shape::kComposite) index.extra_columns = {"d"};
+  if (shape == Shape::kDense) {
+    index.dense_field = "k";
+    index.dense_schema = DenseSchema();
+  }
+  return index;
+}
 
 class VerifyTest : public ::testing::Test {
  protected:
@@ -67,42 +130,67 @@ TEST_F(VerifyTest, CleanIndexVerifies) {
 }
 
 TEST_F(VerifyTest, DetectsStaleEntries) {
-  CreateIndexed(IndexScheme::kSyncInsert);
-  ASSERT_TRUE(client_->PutColumn("t", "aa-1", "c", "old").ok());
-  ASSERT_TRUE(client_->PutColumn("t", "aa-1", "c", "new").ok());
-  IndexBackfill tool(cluster_->NewClient());
-  VerifyReport report;
-  ASSERT_TRUE(tool.Verify("t", "by_c", &report).ok());
-  EXPECT_FALSE(report.consistent());
-  EXPECT_EQ(report.stale_entries, 1u);   // the lingering "old" entry
-  EXPECT_EQ(report.missing_entries, 0u);
-  // Cleanse fixes it; verify then passes.
-  CleanseReport cleansed;
-  ASSERT_TRUE(tool.Cleanse("t", "by_c", &cleansed).ok());
-  ASSERT_TRUE(tool.Verify("t", "by_c", &report).ok());
-  EXPECT_TRUE(report.consistent());
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(ShapeName(shape));
+    const std::string table = std::string("t_") + ShapeName(shape);
+    ASSERT_TRUE(cluster_->master()->CreateTable(table).ok());
+    IndexDescriptor index = ShapeIndex(shape);
+    index.scheme = IndexScheme::kSyncInsert;
+    ASSERT_TRUE(cluster_->master()->CreateIndex(table, index).ok());
+    ASSERT_TRUE(client_->raw_client()->RefreshLayout().ok());
+
+    ASSERT_TRUE(client_->Put(table, "aa-1", ShapeCells(shape, "old")).ok());
+    ASSERT_TRUE(client_->Put(table, "aa-1", ShapeCells(shape, "new")).ok());
+    ASSERT_TRUE(client_->Put(table, "bb-2", PartialCells(shape)).ok());
+    // A live entry that sorts after the stale one, so a page checks hits
+    // on either side of it.
+    ASSERT_TRUE(client_->Put(table, "cc-3", ShapeCells(shape, "zz")).ok());
+    IndexBackfill tool(cluster_->NewClient());
+    VerifyReport report;
+    ASSERT_TRUE(tool.Verify(table, "by_c", &report).ok());
+    EXPECT_FALSE(report.consistent());
+    EXPECT_EQ(report.entries_scanned, 3u);
+    EXPECT_EQ(report.stale_entries, 1u);   // the lingering "old" entry
+    EXPECT_EQ(report.rows_scanned, 3u);
+    EXPECT_EQ(report.missing_entries, 0u);
+    // Cleanse fixes it; verify then passes.
+    CleanseReport cleansed;
+    ASSERT_TRUE(tool.Cleanse(table, "by_c", &cleansed).ok());
+    EXPECT_EQ(cleansed.entries_scanned, 3u);
+    EXPECT_EQ(cleansed.stale_removed, 1u);
+    ASSERT_TRUE(tool.Verify(table, "by_c", &report).ok());
+    EXPECT_TRUE(report.consistent());
+    EXPECT_EQ(report.entries_scanned, 2u);
+  }
 }
 
 TEST_F(VerifyTest, DetectsMissingEntries) {
-  // Data loaded BEFORE the index exists and never backfilled.
-  ASSERT_TRUE(cluster_->master()->CreateTable("t").ok());
   auto raw = cluster_->NewClient();
-  ASSERT_TRUE(raw->PutColumn("t", "aa-1", "c", "unindexed").ok());
-  IndexDescriptor index;
-  index.name = "by_c";
-  index.column = "c";
-  ASSERT_TRUE(cluster_->master()->CreateIndex("t", index).ok());
-  ASSERT_TRUE(raw->RefreshLayout().ok());
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(ShapeName(shape));
+    const std::string table = std::string("t_") + ShapeName(shape);
+    // Data loaded BEFORE the index exists and never backfilled.
+    ASSERT_TRUE(cluster_->master()->CreateTable(table).ok());
+    ASSERT_TRUE(raw->RefreshLayout().ok());
+    ASSERT_TRUE(raw->Put(table, "aa-1", ShapeCells(shape, "unindexed")).ok());
+    ASSERT_TRUE(raw->Put(table, "bb-2", PartialCells(shape)).ok());
+    ASSERT_TRUE(cluster_->master()->CreateIndex(table, ShapeIndex(shape)).ok());
+    ASSERT_TRUE(raw->RefreshLayout().ok());
 
-  IndexBackfill tool(cluster_->NewClient());
-  VerifyReport report;
-  ASSERT_TRUE(tool.Verify("t", "by_c", &report).ok());
-  EXPECT_EQ(report.missing_entries, 1u);
-  // Backfill repairs; verify passes.
-  BackfillReport backfilled;
-  ASSERT_TRUE(tool.Run("t", "by_c", &backfilled).ok());
-  ASSERT_TRUE(tool.Verify("t", "by_c", &report).ok());
-  EXPECT_TRUE(report.consistent());
+    IndexBackfill tool(cluster_->NewClient());
+    VerifyReport report;
+    ASSERT_TRUE(tool.Verify(table, "by_c", &report).ok());
+    EXPECT_EQ(report.rows_scanned, 2u);
+    EXPECT_EQ(report.missing_entries, 1u);
+    // Backfill repairs; verify passes.
+    BackfillReport backfilled;
+    ASSERT_TRUE(tool.Run(table, "by_c", &backfilled).ok());
+    EXPECT_EQ(backfilled.entries_written, 1u);
+    EXPECT_EQ(backfilled.rows_skipped, 1u);
+    ASSERT_TRUE(tool.Verify(table, "by_c", &report).ok());
+    EXPECT_TRUE(report.consistent());
+    EXPECT_EQ(report.entries_scanned, 1u);
+  }
 }
 
 TEST_F(VerifyTest, LocalIndexNotSupported) {

@@ -157,9 +157,9 @@ TEST_F(WalTornTailTest, RecoveryReplaysIntactPrefixAndReenqueues) {
   Fabric fabric(&latency);
   RegionServerOptions options;
   RegionServer server(7, dir_, &fabric, options);
-  ASSERT_TRUE(server.Start().ok());
   RecordingHooks hooks;
   server.SetHooks(&hooks);
+  ASSERT_TRUE(server.Start().ok());
 
   RegionInfoWire info;
   info.table = "t";

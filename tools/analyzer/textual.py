@@ -5,9 +5,10 @@ that define the construct it polices (rules.EXEMPT_FILES):
   raw-mutex     no raw std synchronization primitive: unannotated locks
                 are invisible to thread-safety analysis.
   naked-new     no `new T` (placement new is fine).
-  index-ts      the section 4.3 timestamp rule: PutIndexEntry takes the
-                base edit's `<x>.ts` verbatim, DeleteIndexEntry takes
-                `<x>.ts - kDelta` (or `old_ts - kDelta`) verbatim.
+  index-ts      the section 4.3 timestamp rule at the one staging path
+                (IndexManager::StageTask): StagePutIndexEntry takes the
+                base edit's `<x>.ts` verbatim, StageDeleteIndexEntry
+                takes `<x>.ts - kDelta` (or `old_ts - kDelta`) verbatim.
   lsm-layering  src/lsm/ never includes cluster/ or core/ headers.
   ignore-error  every .IgnoreError() carries an adjacent rationale
                 comment saying why dropping the Status is safe.
@@ -23,7 +24,7 @@ RAW_SYNC_RE = re.compile(
     r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|condition_variable"
     r"|condition_variable_any|lock_guard|unique_lock|shared_lock|scoped_lock)\b")
 NAKED_NEW_RE = re.compile(r"\bnew\s+[A-Za-z_]")
-INDEX_CALL_RE = re.compile(r"\b((?:Stage)?(?:Put|Delete)IndexEntry)\s*\(")
+INDEX_CALL_RE = re.compile(r"\b(Stage(?:Put|Delete)IndexEntry)\s*\(")
 TS_ARG_PUT_RE = re.compile(r"^([A-Za-z_]\w*(\.|->))?ts$")
 TS_ARG_DELETE_RE = re.compile(
     r"^([A-Za-z_]\w*(\.|->))?(ts|old_ts)\s*-\s*kDelta$")
@@ -52,7 +53,7 @@ def index_ts(sf):
     text = sf.clean_str
     for m in INDEX_CALL_RE.finditer(text):
         if text[max(0, m.start() - 2):m.start()] == "::":
-            continue  # a definition (`Status IndexManager::PutIndexEntry(`)
+            continue  # a definition (`IndexManager::StagePutIndexEntry(`)
         argtext = balanced_args(text, m.end() - 1)
         args = split_top_level_args(argtext) if argtext is not None else []
         if len(args) < 3:
