@@ -12,6 +12,7 @@
 #define DIFFINDEX_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -84,6 +85,9 @@ struct BenchEnv {
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<ItemTable> items;
   std::unique_ptr<WorkloadRunner> runner;  // holds item versions
+  // Registry snapshot once load and settle are done: the measured phase
+  // of a point is everything after it (MetricsJsonWriter::AddPoint).
+  obs::MetricsSnapshot baseline;
 };
 
 inline Status MakeLoadedEnv(const EnvOptions& base_env_options,
@@ -125,6 +129,7 @@ inline Status MakeLoadedEnv(const EnvOptions& base_env_options,
     DIFFINDEX_RETURN_NOT_OK(client->FlushTable(item_options.table));
     DIFFINDEX_RETURN_NOT_OK(client->CompactTable(item_options.table));
   }
+  env->baseline = env->cluster->metrics()->Snapshot();
   return Status::OK();
 }
 
@@ -186,21 +191,24 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   return args;
 }
 
-// Accumulates one labeled registry snapshot per measured point and writes
-// them as {"points":[{"label":...,"metrics":{...}}, ...]}. The benches
-// build a fresh cluster (hence a fresh registry) per point, so each
-// snapshot covers exactly that point's run.
+// Accumulates one labeled registry delta per measured point and writes
+// them as {"points":[{"label":...,"metrics":{...}}, ...]}. Each point is
+// the cluster's registry minus `baseline`, a snapshot taken when the
+// point's measured phase began, so preload and settle stay out of it.
 class MetricsJsonWriter {
  public:
   explicit MetricsJsonWriter(std::string path) : path_(std::move(path)) {}
 
   bool enabled() const { return !path_.empty(); }
 
-  void AddPoint(const std::string& label, Cluster* cluster) {
+  void AddPoint(const std::string& label, Cluster* cluster,
+                const obs::MetricsSnapshot& baseline) {
     if (!enabled()) return;
-    points_.push_back("{\"label\":\"" + obs::JsonEscape(label) +
-                      "\",\"metrics\":" +
-                      cluster->metrics()->ToJson() + "}");
+    points_.push_back(
+        "{\"label\":\"" + obs::JsonEscape(label) + "\",\"metrics\":" +
+        obs::MetricsRegistry::SnapshotToJson(
+            cluster->metrics()->Snapshot().Delta(baseline)) +
+        "}");
   }
 
   bool Write() const {

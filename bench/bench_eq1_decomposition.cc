@@ -134,8 +134,7 @@ int main(int argc, char** argv) {
     scheme_env.with_title_index = points[p].with_index;
     scheme_env.base_row_cache_bytes = points[p].base_row_cache_bytes;
     RunnerOptions scheme_run;
-    scheme_run.op = points[p].with_index ? WorkloadOp::kUpdateTitle
-                                         : WorkloadOp::kBasePutNoIndex;
+    scheme_run.op = WorkloadOp::kUpdateTitle;
     scheme_run.threads = 1;
     scheme_run.total_operations = 300;
     // Skewed updates (same for every point): re-updated hot rows are what
@@ -152,7 +151,8 @@ int main(int argc, char** argv) {
     printf("  %-19s avg = %7.0f us  (base_cache.hit=%llu)\n",
            points[p].label, measured[p],
            static_cast<unsigned long long>(cache_hits));
-    metrics_out.AddPoint(points[p].label, scheme_bench.cluster.get());
+    metrics_out.AddPoint(points[p].label, scheme_bench.cluster.get(),
+                         scheme_bench.baseline);
   }
   printf("\nCheck: L(sync-full) - L(no-index) = %7.0f us vs Eq.1 %7.0f us\n",
          measured[2] - measured[0], eq1);

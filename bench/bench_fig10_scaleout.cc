@@ -18,8 +18,7 @@ void RunPoint(const char* label, IndexScheme scheme, bool with_index,
   env_options.num_items = items;
 
   RunnerOptions runner_options;
-  runner_options.op = with_index ? WorkloadOp::kUpdateTitle
-                                 : WorkloadOp::kBasePutNoIndex;
+  runner_options.op = WorkloadOp::kUpdateTitle;
   runner_options.threads = threads;
   runner_options.total_operations = 500ull * threads;
   runner_options.seed = 31 + servers;

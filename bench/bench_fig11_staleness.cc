@@ -68,7 +68,7 @@ void RunPoint(double target_tps, int threads,
   char label[64];
   snprintf(label, sizeof(label), "target_tps=%.0f/threads=%d", target_tps,
            threads);
-  metrics_out->AddPoint(label, env.cluster.get());
+  metrics_out->AddPoint(label, env.cluster.get(), env.baseline);
 }
 
 }  // namespace

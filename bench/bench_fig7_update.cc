@@ -24,8 +24,7 @@ void RunSeries(const char* label, bool with_index, IndexScheme scheme,
     env_options.num_items = 12000;
 
     RunnerOptions runner_options;
-    runner_options.op = with_index ? WorkloadOp::kUpdateTitle
-                                   : WorkloadOp::kBasePutNoIndex;
+    runner_options.op = WorkloadOp::kUpdateTitle;
     runner_options.threads = threads;
     runner_options.total_operations = 600ull * threads;
     runner_options.seed = 7 + threads;
@@ -48,7 +47,7 @@ void RunSeries(const char* label, bool with_index, IndexScheme scheme,
     }
     metrics_out->AddPoint(std::string(label) + "/threads=" +
                               std::to_string(threads),
-                          env.cluster.get());
+                          env.cluster.get(), env.baseline);
   }
   printf("\n");
 }

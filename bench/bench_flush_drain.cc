@@ -65,6 +65,7 @@ void RunPoint(const char* label, bool with_index, int drain_batch_size,
                                                 env.items.get(),
                                                 runner_options);
   if (!env.runner->LoadItems(env_options.load_threads).ok()) return;
+  env.baseline = env.cluster->metrics()->Snapshot();
 
   RunnerResult result;
   if (!env.runner->Run(&result).ok()) return;
@@ -95,7 +96,7 @@ void RunPoint(const char* label, bool with_index, int drain_batch_size,
              ? static_cast<double>(stall) / result.operations
              : 0.0,
          drain_ms, static_cast<unsigned long long>(coalesced));
-  metrics_out->AddPoint(label, env.cluster.get());
+  metrics_out->AddPoint(label, env.cluster.get(), env.baseline);
 }
 
 }  // namespace

@@ -248,12 +248,13 @@ void RunSeries(IndexScheme scheme, MetricsJsonWriter* writer) {
       (void)ScatterQuery(&env, &engine, lo, hi, &rows);
     }
   }
+  const obs::MetricsSnapshot baseline = env.cluster->metrics()->Snapshot();
 
   RunMode(&env, &engine, label, "scan_scatter", WideScatterQuery,
           kWideQueries, kWidePrefixWidth);
   RunMode(&env, &engine, label, "scatter_batched", ScatterQuery);
   RunMode(&env, &engine, label, "covered", CoveredQuery);
-  writer->AddPoint(label, env.cluster.get());
+  writer->AddPoint(label, env.cluster.get(), baseline);
   printf("\n");
 }
 

@@ -67,6 +67,7 @@ void RunPoint(uint64_t baseline, uint64_t unflushed, bool with_checkpoints,
   (void)client->FlushTable("t");  // checkpoints now cover the baseline
   put_rows(unflushed, "hot");
 
+  const obs::MetricsSnapshot before_kill = cluster->metrics()->Snapshot();
   const auto start = std::chrono::steady_clock::now();
   (void)cluster->KillServer(1);
   (void)client->RefreshLayout();
@@ -97,7 +98,7 @@ void RunPoint(uint64_t baseline, uint64_t unflushed, bool with_checkpoints,
          static_cast<unsigned long long>(unflushed), serve_ms,
          static_cast<unsigned long long>(replayed),
          static_cast<unsigned long long>(skipped));
-  metrics_out->AddPoint(label, cluster.get());
+  metrics_out->AddPoint(label, cluster.get(), before_kill);
 }
 
 }  // namespace

@@ -27,8 +27,7 @@ void RunScheme(const char* label, bool with_index, IndexScheme scheme) {
   env_options.latency_scale = 0;  // counting ops, not time
 
   RunnerOptions update_options;
-  update_options.op = with_index ? WorkloadOp::kUpdateTitle
-                                 : WorkloadOp::kBasePutNoIndex;
+  update_options.op = WorkloadOp::kUpdateTitle;
   update_options.threads = 4;
   update_options.total_operations = kOps;
   update_options.seed = 41;

@@ -226,45 +226,55 @@ Status DiffIndexClient::SessionPut(SessionId session, const std::string& table,
   const TableDescriptor* desc = catalog.GetTable(table);
   if (desc == nullptr) return Status::OK();
 
+  // The put's own cells give each index column's new value and
+  // resp.old_values its superseded one; a deleted or previously absent
+  // column reads as NotFound.
+  const IndexColumnReader read_new = [&cells](const std::string& column,
+                                              std::string* raw_value) {
+    for (const Cell& cell : cells) {
+      if (cell.column != column) continue;
+      if (cell.is_delete) break;
+      *raw_value = cell.value;
+      return Status::OK();
+    }
+    return Status::NotFound(column);
+  };
+  const IndexColumnReader read_old = [&resp](const std::string& column,
+                                             std::string* raw_value) {
+    for (const OldCellValue& old : resp.old_values) {
+      if (old.column != column) continue;
+      if (!old.found) break;
+      *raw_value = old.value;
+      return Status::OK();
+    }
+    return Status::NotFound(column);
+  };
+  const auto written = [&cells](const std::string& column) {
+    return std::any_of(cells.begin(), cells.end(), [&column](const Cell& c) {
+      return c.column == column;
+    });
+  };
+
   for (const IndexDescriptor& index : desc->indexes) {
     // Private tracking needs every component value client-side, so it is
-    // maintained for indexes fully determined by this put (all single-
-    // column indexes qualify).
-    const Cell* new_cell = nullptr;
-    for (const Cell& cell : cells) {
-      if (cell.column == index.column) {
-        new_cell = &cell;
-        break;
-      }
-    }
-    if (new_cell == nullptr || !index.extra_columns.empty()) continue;
+    // maintained for indexes whose columns this put writes in full (all
+    // single-column indexes on a written column qualify).
+    const std::vector<std::string> columns = IndexColumns(index);
+    if (!std::all_of(columns.begin(), columns.end(), written)) continue;
 
-    // Same logic as the server: delete-marker for the superseded entry at
-    // ts - δ, new entry at ts.
-    const OldCellValue* old = nullptr;
-    for (const OldCellValue& candidate : resp.old_values) {
-      if (candidate.column == index.column) {
-        old = &candidate;
-        break;
-      }
+    // Same rule as the server: delete-marker for the superseded entry at
+    // ts - δ, new entry at ts; a value that cannot be derived is no entry.
+    std::string old_value;
+    if (DeriveIndexValue(index, read_old, &old_value).ok()) {
+      DIFFINDEX_RETURN_NOT_OK(sessions_.RecordEntry(
+          session, index.index_table, EncodeIndexRow(old_value, row),
+          ts - kDelta, /*is_delete=*/true));
     }
-    if (old != nullptr && old->found) {
-      std::string old_component;
-      if (IndexComponentFromCell(index, old->value, &old_component).ok()) {
-        const std::string old_row = EncodeIndexRow(old_component, row);
-        DIFFINDEX_RETURN_NOT_OK(sessions_.RecordEntry(
-            session, index.index_table, old_row, ts - kDelta,
-            /*is_delete=*/true));
-      }
-    }
-    if (!new_cell->is_delete) {
-      std::string new_component;
-      if (IndexComponentFromCell(index, new_cell->value, &new_component)
-              .ok()) {
-        const std::string new_row = EncodeIndexRow(new_component, row);
-        DIFFINDEX_RETURN_NOT_OK(sessions_.RecordEntry(
-            session, index.index_table, new_row, ts, /*is_delete=*/false));
-      }
+    std::string new_value;
+    if (DeriveIndexValue(index, read_new, &new_value).ok()) {
+      DIFFINDEX_RETURN_NOT_OK(sessions_.RecordEntry(
+          session, index.index_table, EncodeIndexRow(new_value, row), ts,
+          /*is_delete=*/false));
     }
   }
   return Status::OK();

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "core/diff_index_client.h"
 #include "core/index_codec.h"
-#include "query/engine.h"
 
 namespace diffindex {
 
@@ -30,55 +30,8 @@ const char* WorkloadOpName(WorkloadOp op) {
       return "read_index_exact";
     case WorkloadOp::kRangeIndexPrice:
       return "range_index_price";
-    case WorkloadOp::kBasePutNoIndex:
-      return "base_put_no_index";
-    case WorkloadOp::kScanIndexRange:
-      return "scan_index_range";
-    case WorkloadOp::kScanTableRange:
-      return "scan_table_range";
   }
   return "unknown";
-}
-
-// One entry per operation a worker may issue: the op plus its cached
-// registry instruments and its cumulative weight in per-million units
-// (mix selection is one Uniform(1e6) draw against this table).
-struct MixSlot {
-  WorkloadOp op;
-  uint64_t cumulative_per_million;
-  Histogram* hist;
-  obs::Counter* errors;
-};
-
-std::vector<MixSlot> BuildMixSlots(const RunnerOptions& options,
-                                   obs::MetricsRegistry* metrics) {
-  std::vector<RunnerOptions::MixEntry> entries = options.mix;
-  if (entries.empty()) {
-    entries.push_back(RunnerOptions::MixEntry{options.op, 1.0});
-  }
-  double total = 0;
-  for (const auto& entry : entries) {
-    if (entry.weight > 0) total += entry.weight;
-  }
-  std::vector<MixSlot> slots;
-  slots.reserve(entries.size());
-  double running = 0;
-  for (const auto& entry : entries) {
-    if (entry.weight <= 0 && entries.size() > 1) continue;
-    running += entry.weight > 0 ? entry.weight : 1.0;
-    MixSlot slot;
-    slot.op = entry.op;
-    slot.cumulative_per_million = total > 0
-        ? static_cast<uint64_t>(running / total * 1000000.0)
-        : 1000000;
-    slot.hist = metrics->GetHistogram(
-        std::string("workload.") + WorkloadOpName(entry.op) + "_micros");
-    slot.errors = metrics->GetCounter(
-        std::string("workload.") + WorkloadOpName(entry.op) + ".errors");
-    slots.push_back(slot);
-  }
-  slots.back().cumulative_per_million = 1000000;  // absorb rounding
-  return slots;
 }
 
 }  // namespace
@@ -120,22 +73,13 @@ Status WorkloadRunner::RunWith(const RunnerOptions& options,
   issued_.store(0);
   stop_.store(false);
 
-  std::unique_ptr<obs::SloTracker> slo;
-  if (options.slo_window_micros > 0) {
-    obs::SloOptions slo_options;
-    slo_options.window_micros = options.slo_window_micros;
-    slo_options.p99_target_micros = options.slo_p99_target_micros;
-    slo_options.metrics = cluster_->metrics();
-    slo = std::make_unique<obs::SloTracker>(slo_options);
-  }
-
   const auto start = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(options.threads);
   std::vector<RunnerResult> partials(options.threads);
   for (int t = 0; t < options.threads; t++) {
-    threads.emplace_back([this, &options, t, &partials, &slo, start] {
-      WorkerLoop(options, t, &partials[t], slo.get(), start);
+    threads.emplace_back([this, &options, t, &partials] {
+      WorkerLoop(options, t, &partials[t]);
     });
   }
   if (options.max_duration_ms > 0) {
@@ -158,20 +102,13 @@ Status WorkloadRunner::RunWith(const RunnerOptions& options,
                     ? static_cast<double>(result->operations) /
                           result->elapsed_seconds
                     : 0;
-  if (slo != nullptr) {
-    result->windows = slo->Finish(MicrosSince(start));
-  } else {
-    result->windows.clear();
-  }
   return Status::OK();
 }
 
-Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
+Status WorkloadRunner::ExecuteOneOp(uint64_t id,
                                     const RunnerOptions& options,
-                                    Client* raw_client,
-                                    DiffIndexClient* client,
-                                    Random* rng) {
-  switch (op) {
+                                    DiffIndexClient* client, Random* rng) {
+  switch (options.op) {
     case WorkloadOp::kUpdateTitle: {
       const uint64_t version =
           versions_[id].fetch_add(1, std::memory_order_relaxed) + 1;
@@ -186,14 +123,6 @@ Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
       recency_.fetch_add(1, std::memory_order_relaxed);
       return client->Put(items_->options().table, items_->RowKey(id),
                          items_->MakeRow(id, version, rng));
-    }
-    case WorkloadOp::kBasePutNoIndex: {
-      const uint64_t version =
-          versions_[id].fetch_add(1, std::memory_order_relaxed) + 1;
-      recency_.fetch_add(1, std::memory_order_relaxed);
-      return client->Put(items_->options().table, items_->RowKey(id),
-                         {Cell{ItemTable::kTitleColumn,
-                               items_->TitleValue(id, version), false}});
     }
     case WorkloadOp::kReadIndexExact: {
       const uint64_t version =
@@ -214,48 +143,20 @@ Status WorkloadRunner::ExecuteOneOp(WorkloadOp op, uint64_t id,
                                   EncodeUint64IndexValue(lo + width), 0,
                                   &hits);
     }
-    case WorkloadOp::kScanIndexRange: {
-      const uint64_t domain = items_->options().price_domain;
-      const uint64_t width = std::min(options.price_range_width, domain);
-      const uint64_t lo = rng->Uniform(domain - width + 1);
-      ScanSpec spec;
-      spec.table = items_->options().table;
-      spec.index_name = ItemTable::kPriceIndex;
-      spec.value_lo_encoded = EncodeUint64IndexValue(lo);
-      spec.value_hi_encoded = EncodeUint64IndexValue(lo + width);
-      if (options.scan_covered) {
-        spec.projection = {ItemTable::kPriceColumn};
-      }
-      ScanOptions scan;
-      scan.page_entries = options.scan_page_entries;
-      scan.max_parallel = options.scan_parallel;
-      scan.allow_covered = options.scan_covered;
-      std::vector<ScannedRow> rows;
-      return client->engine()->ScanByIndex(spec, scan, &rows);
-    }
-    case WorkloadOp::kScanTableRange: {
-      std::vector<ScannedRow> rows;
-      return raw_client->ScanRows(items_->options().table,
-                                  items_->RowKey(id), "", kMaxTimestamp,
-                                  options.scan_rows, &rows);
-    }
   }
   return Status::InvalidArgument("unknown workload op");
 }
 
 void WorkloadRunner::WorkerLoop(const RunnerOptions& options,
-                                int worker_id, RunnerResult* result,
-                                obs::SloTracker* slo,
-                                Clock::time_point run_start) {
-  auto raw_client = cluster_->NewClient();
-  DiffIndexClient client(raw_client, cluster_->stats());
+                                int worker_id, RunnerResult* result) {
+  DiffIndexClient client(cluster_->NewClient(), cluster_->stats());
   // Per-op latencies also land in the cluster registry; instruments are
   // resolved once per worker (the loop body stays lock-free).
-  const std::vector<MixSlot> slots =
-      BuildMixSlots(options, cluster_->metrics());
+  Histogram* const op_hist = cluster_->metrics()->GetHistogram(
+      std::string("workload.") + WorkloadOpName(options.op) + "_micros");
+  obs::Counter* const op_errors = cluster_->metrics()->GetCounter(
+      std::string("workload.") + WorkloadOpName(options.op) + ".errors");
   KeyChooserParams chooser_params;
-  chooser_params.hotspot_set_fraction = options.hotspot_set_fraction;
-  chooser_params.hotspot_op_fraction = options.hotspot_op_fraction;
   chooser_params.recency = &recency_;
   auto chooser =
       KeyChooser::Create(options.distribution,
@@ -290,35 +191,17 @@ void WorkloadRunner::WorkerLoop(const RunnerOptions& options,
       }
     }
 
-    const MixSlot* slot = &slots.front();
-    if (slots.size() > 1) {
-      const uint64_t draw = rng.Uniform(1000000);
-      for (const MixSlot& candidate : slots) {
-        if (draw < candidate.cumulative_per_million) {
-          slot = &candidate;
-          break;
-        }
-      }
-    }
     const uint64_t id = chooser->Next();
     const auto op_start = Clock::now();
-    Status s = ExecuteOneOp(slot->op, id, options, raw_client.get(),
-                            &client, &rng);
-    const uint64_t latency_micros =
-        static_cast<uint64_t>(std::chrono::duration_cast<
-                                  std::chrono::microseconds>(Clock::now() -
-                                                             op_start)
-                                  .count());
+    Status s = ExecuteOneOp(id, options, &client, &rng);
+    const uint64_t latency_micros = MicrosSince(op_start);
     result->latency->Add(latency_micros);
-    slot->hist->Add(latency_micros);
-    if (slo != nullptr) {
-      slo->RecordAt(MicrosSince(run_start), latency_micros, s.ok());
-    }
+    op_hist->Add(latency_micros);
     result->operations++;
     local_ops++;
     if (!s.ok()) {
       result->errors++;
-      slot->errors->Add();
+      op_errors->Add();
     }
   }
 }

@@ -64,41 +64,65 @@ struct GatedProcessor {
       return Status::OK();
     };
   }
+  // The same gate for a drain_batch_size > 1 queue: one parked call per
+  // popped batch.
+  AsyncUpdateQueue::BatchProcessor batch_fn() {
+    return [this](const std::vector<IndexTask>& tasks,
+                  std::vector<Status>* statuses) {
+      started.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      processed.fetch_add(static_cast<int>(tasks.size()));
+      statuses->assign(tasks.size(), Status::OK());
+    };
+  }
 };
 
+constexpr int kDrainBatchSizes[] = {1, 4};
+
 TEST(AuqPolicyTest, KBlockBlocksAtDepthThenDrainsEverything) {
-  GatedProcessor gate;
-  AuqOptions options;
-  options.worker_threads = 1;
-  options.max_depth = 2;
-  options.overflow_policy = AuqOverflowPolicy::kBlock;
-  AsyncUpdateQueue auq(options, gate.fn());
+  for (const int drain : kDrainBatchSizes) {
+    SCOPED_TRACE("drain_batch_size=" + std::to_string(drain));
+    GatedProcessor gate;
+    AuqOptions options;
+    options.worker_threads = 1;
+    options.drain_batch_size = drain;
+    options.max_depth = 2;
+    options.overflow_policy = AuqOverflowPolicy::kBlock;
+    AsyncUpdateQueue auq(options, gate.fn(),
+                         drain > 1 ? gate.batch_fn() : nullptr);
 
-  // Task 0 goes in-flight; 1 and 2 fill the bounded queue.
-  ASSERT_TRUE(auq.Enqueue(MakeTask(0)));
-  ASSERT_TRUE(WaitFor([&] { return gate.started.load() == 1; }));
-  ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
-  ASSERT_TRUE(auq.Enqueue(MakeTask(2)));
-  EXPECT_EQ(auq.queued_depth(), 2u);
+    // Task 0 goes in-flight; 1 and 2 fill the bounded queue.
+    ASSERT_TRUE(auq.Enqueue(MakeTask(0)));
+    ASSERT_TRUE(WaitFor([&] { return gate.started.load() == 1; }));
+    ASSERT_TRUE(auq.Enqueue(MakeTask(1)));
+    ASSERT_TRUE(auq.Enqueue(MakeTask(2)));
+    EXPECT_EQ(auq.queued_depth(), 2u);
 
-  std::atomic<bool> enqueued{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(auq.Enqueue(MakeTask(3)));
-    enqueued = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // Still blocked: the queue never exceeds max_depth under kBlock.
-  EXPECT_FALSE(enqueued.load());
-  EXPECT_LE(auq.queued_depth(), 2u);
+    std::atomic<bool> enqueued{false};
+    std::thread producer([&] {
+      ASSERT_TRUE(auq.Enqueue(MakeTask(3)));
+      enqueued = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Still blocked: the queue never exceeds max_depth under kBlock, and
+    // the workers hold at most one popped batch each on top of it.
+    EXPECT_FALSE(enqueued.load());
+    EXPECT_LE(auq.queued_depth(), options.max_depth);
+    EXPECT_LE(auq.depth(),
+              options.max_depth + static_cast<size_t>(options.worker_threads) *
+                                      static_cast<size_t>(drain));
 
-  gate.release = true;
-  producer.join();
-  EXPECT_TRUE(enqueued.load());
-  auq.WaitDrained();
-  // Nothing was dropped: backpressure, not loss.
-  EXPECT_EQ(gate.processed.load(), 4);
-  EXPECT_EQ(auq.dead_letters(), 0u);
-  auq.Shutdown();
+    gate.release = true;
+    producer.join();
+    EXPECT_TRUE(enqueued.load());
+    auq.WaitDrained();
+    // Nothing was dropped: backpressure, not loss.
+    EXPECT_EQ(gate.processed.load(), 4);
+    EXPECT_EQ(auq.dead_letters(), 0u);
+    auq.Shutdown();
+  }
 }
 
 TEST(AuqPolicyTest, ShedToDeadLetterRecordsOverflowWithoutBlocking) {

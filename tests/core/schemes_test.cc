@@ -13,6 +13,7 @@
 #include "cluster/cluster.h"
 #include "core/backfill.h"
 #include "core/index_codec.h"
+#include "fault/failpoint.h"
 #include "query/engine.h"
 #include "util/random.h"
 
@@ -380,6 +381,49 @@ TEST_F(SchemesTest, SessionSeesOwnUpdateNotStaleValue) {
   ASSERT_TRUE(
       client_->SessionGetByIndex(s, "items", "by_title", "v1", &hits).ok());
   EXPECT_TRUE(hits.empty());
+  client_->EndSession(s);
+}
+
+TEST_F(SchemesTest, SessionMirrorsCompositeIndexWrittenInFull) {
+  CreateIndexedTable("items", IndexScheme::kAsyncSession, "category",
+                     {"subcategory"});
+  ASSERT_TRUE(client_->Put("items", "aa-1",
+                           {Cell{"category", "tools", false},
+                            Cell{"subcategory", "saws", false}})
+                  .ok());
+  WaitForQuiescence();  // (tools, saws) entry delivered
+
+  // Hold every AUQ delivery back, so only the session's private entries
+  // can make the update visible to it.
+  struct HoldAuq {
+    HoldAuq() {
+      fault::FailpointRegistry::Global()->Arm(
+          "auq.process", fault::FailpointPolicy::ErrorEveryNth(1));
+    }
+    ~HoldAuq() { fault::FailpointRegistry::Global()->Disarm("auq.process"); }
+  };
+  const SessionId s = client_->GetSession();
+  {
+    HoldAuq hold;
+    ASSERT_TRUE(client_->SessionPut(s, "items", "aa-1",
+                                    {Cell{"category", "tools", false},
+                                     Cell{"subcategory", "drills", false}})
+                    .ok());
+    std::vector<IndexHit> hits;
+    ASSERT_TRUE(client_
+                    ->SessionGetByIndex(
+                        s, "items", "by_category",
+                        EncodeCompositeIndexValue({"tools", "drills"}), &hits)
+                    .ok());
+    EXPECT_EQ(HitRows(hits), std::set<std::string>{"aa-1"});
+    ASSERT_TRUE(client_
+                    ->SessionGetByIndex(
+                        s, "items", "by_category",
+                        EncodeCompositeIndexValue({"tools", "saws"}), &hits)
+                    .ok());
+    EXPECT_TRUE(hits.empty());
+  }
+  WaitForQuiescence();
   client_->EndSession(s);
 }
 

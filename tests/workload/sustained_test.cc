@@ -1,17 +1,16 @@
 // Sustained-load substrate tests: statistical sanity of the key choosers
-// (chi-square for the flat ones, skew/mass checks for the skewed ones),
-// pacing accuracy of the closed-loop runner, and the windowed SLO
-// accounting — including the regression that motivated it: a mid-run
-// stall must be visible in the window series even when the whole-run
-// histogram averages it away.
+// (chi-square for the flat ones, skew/mass checks for the skewed ones)
+// and pacing accuracy of the closed-loop runner.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
+#include <thread>
 #include <vector>
 
-#include "obs/slo.h"
 #include "util/histogram.h"
 #include "workload/generators.h"
 #include "workload/item_table.h"
@@ -118,105 +117,6 @@ TEST(SustainedChooserTest, LatestConcentratesBehindRecencyCursor) {
   EXPECT_LT(mass_within(4000, 100), 0.2);
 }
 
-TEST(SustainedSloTest, WindowAccountingMatchesHandComputedHistograms) {
-  obs::SloOptions options;
-  options.window_micros = 1000;
-  obs::SloTracker tracker(options);
-
-  // Window 0: latencies 10..190 step 20 (10 samples), one error.
-  Histogram w0;
-  for (uint64_t l = 10; l < 200; l += 20) {
-    tracker.RecordAt(l, l, /*ok=*/l != 10);
-    w0.Add(l);
-  }
-  // Window 2 (window 1 stays empty): constant 5000us, 4 samples.
-  Histogram w2;
-  for (int i = 0; i < 4; i++) {
-    tracker.RecordAt(2100 + i, 5000, true);
-    w2.Add(5000);
-  }
-
-  auto windows = tracker.Finish(3000);
-  ASSERT_EQ(windows.size(), 3u);
-
-  EXPECT_EQ(windows[0].start_micros, 0u);
-  EXPECT_EQ(windows[0].end_micros, 1000u);
-  EXPECT_EQ(windows[0].operations, 10u);
-  EXPECT_EQ(windows[0].errors, 1u);
-  EXPECT_EQ(windows[0].p50_micros,
-            static_cast<uint64_t>(w0.Percentile(50.0)));
-  EXPECT_EQ(windows[0].p99_micros,
-            static_cast<uint64_t>(w0.Percentile(99.0)));
-  EXPECT_EQ(windows[0].p999_micros,
-            static_cast<uint64_t>(w0.Percentile(99.9)));
-  EXPECT_EQ(windows[0].max_micros, 190u);
-
-  // The gap window is emitted, empty — that is the stall signal.
-  EXPECT_EQ(windows[1].operations, 0u);
-  EXPECT_EQ(windows[1].p99_micros, 0u);
-
-  EXPECT_EQ(windows[2].operations, 4u);
-  EXPECT_EQ(windows[2].p99_micros,
-            static_cast<uint64_t>(w2.Percentile(99.0)));
-  EXPECT_EQ(windows[2].max_micros, 5000u);
-}
-
-TEST(SustainedSloTest, ViolationsCountWindowsPastTarget) {
-  obs::MetricsRegistry metrics;
-  obs::SloOptions options;
-  options.window_micros = 1000;
-  options.p99_target_micros = 100;
-  options.metrics = &metrics;
-  obs::SloTracker tracker(options);
-
-  for (int i = 0; i < 20; i++) tracker.RecordAt(i, 50, true);      // ok
-  for (int i = 0; i < 20; i++) tracker.RecordAt(1000 + i, 900, true);  // bad
-  auto windows = tracker.Finish(2000);
-  ASSERT_EQ(windows.size(), 2u);
-  auto snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.counters.at("slo.windows"), 2u);
-  EXPECT_EQ(snapshot.counters.at("slo.violations"), 1u);
-}
-
-// Regression for the unwindowed-percentile bug: a synthetic 1-window
-// stall (every op in it takes 100x normal) is invisible in the whole-run
-// histogram's p99 but pinned by the window series.
-TEST(SustainedSloTest, WindowSeriesExposesStallWholeRunHistogramMasks) {
-  obs::SloOptions options;
-  options.window_micros = 1000;
-  obs::SloTracker tracker(options);
-  Histogram whole_run;
-
-  // 9 healthy windows of 100 ops at ~50us, 1 stalled window where the few
-  // ops that complete take 5000us.
-  uint64_t stall_start = 5000;
-  for (uint64_t w = 0; w < 10; w++) {
-    const bool stalled = w * 1000 == stall_start;
-    const int ops = stalled ? 3 : 100;
-    const uint64_t latency = stalled ? 5000 : 50;
-    for (int i = 0; i < ops; i++) {
-      tracker.RecordAt(w * 1000 + i, latency, true);
-      whole_run.Add(latency);
-    }
-  }
-
-  // Whole-run p99: 903 samples, 3 slow -> the 99th percentile still sits
-  // in the healthy bucket. This is the masking the old runner result had.
-  EXPECT_LT(whole_run.Percentile(99.0), 100.0);
-
-  auto windows = tracker.Finish(10000);
-  ASSERT_EQ(windows.size(), 10u);
-  // The window series pins the stall: window 5 reports the 5000us p99 and
-  // the 30x drop in completed operations.
-  EXPECT_GE(windows[5].p99_micros, 4000u);
-  EXPECT_EQ(windows[5].operations, 3u);
-  for (size_t w = 0; w < windows.size(); w++) {
-    if (w == 5) continue;
-    EXPECT_LT(windows[w].p99_micros, 100u) << "window " << w;
-    EXPECT_EQ(windows[w].operations, 100u) << "window " << w;
-  }
-}
-
 class SustainedRunnerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -240,83 +140,45 @@ TEST_F(SustainedRunnerTest, PacingHoldsTargetWithinTolerance) {
   options.total_operations = 0;
   options.max_duration_ms = 1000;
   options.target_tps = 500;
-  options.slo_window_micros = 250000;
   WorkloadRunner runner(cluster_.get(), &items, options);
   ASSERT_TRUE(runner.LoadItems(4).ok());
+
+  // Count completed ops per 250 ms interval from the runner's registry
+  // histogram while the run is in flight; the interval that straddles
+  // the end of the run is partial and not judged below.
+  const Histogram* ops =
+      cluster_->metrics()->GetHistogram("workload.update_title_micros");
+  std::atomic<bool> done{false};
+  std::vector<uint64_t> intervals;
+  std::thread sampler([&] {
+    auto tick = std::chrono::steady_clock::now();
+    uint64_t seen = ops->Count();
+    for (;;) {
+      tick += std::chrono::milliseconds(250);
+      std::this_thread::sleep_until(tick);
+      const uint64_t count = ops->Count();
+      intervals.push_back(count - seen);
+      seen = count;
+      if (done.load()) return;
+    }
+  });
   RunnerResult result;
-  ASSERT_TRUE(runner.Run(&result).ok());
+  const Status run = runner.Run(&result);
+  done.store(true);
+  sampler.join();
+  ASSERT_TRUE(run.ok());
   // +-30%: generous for CI noise, tight enough to catch a broken pacer
   // (unpaced this cluster does tens of thousands of TPS).
   EXPECT_GT(result.tps, 350.0);
   EXPECT_LT(result.tps, 650.0);
-  // And the pacing is steady per window, not front-loaded.
-  ASSERT_GE(result.windows.size(), 3u);
-  for (size_t w = 0; w + 1 < result.windows.size(); w++) {
-    EXPECT_GT(result.windows[w].operations, 60u) << "window " << w;
-    EXPECT_LT(result.windows[w].operations, 250u) << "window " << w;
+  // And the pacing is steady per interval, not front-loaded.
+  ASSERT_GE(intervals.size(), 3u);
+  for (size_t w = 0; w + 1 < intervals.size(); w++) {
+    EXPECT_GT(intervals[w], 60u) << "interval " << w;
+    EXPECT_LT(intervals[w], 250u) << "interval " << w;
   }
 }
 
-TEST_F(SustainedRunnerTest, MixedRunDrivesAllOpsAndFillsWindows) {
-  ItemTableOptions item_options;
-  item_options.num_items = 300;
-  item_options.title_scheme = IndexScheme::kSyncFull;
-  item_options.price_scheme = IndexScheme::kAsyncSimple;
-  item_options.create_price_index = true;
-  ItemTable items(cluster_.get(), item_options);
-  ASSERT_TRUE(items.Create().ok());
-
-  RunnerOptions options;
-  options.mix = {
-      {WorkloadOp::kUpdateTitle, 0.5},
-      {WorkloadOp::kReadIndexExact, 0.3},
-      {WorkloadOp::kScanIndexRange, 0.2},
-  };
-  options.threads = 4;
-  options.total_operations = 600;
-  options.distribution = KeyDistribution::kLatest;
-  options.slo_window_micros = 100000;
-  WorkloadRunner runner(cluster_.get(), &items, options);
-  ASSERT_TRUE(runner.LoadItems(4).ok());
-  RunnerResult result;
-  ASSERT_TRUE(runner.Run(&result).ok());
-  EXPECT_GE(result.operations, 600u);
-  EXPECT_EQ(result.errors, 0u);
-
-  // Each op in the mix ran and was instrumented under its own histogram.
-  auto snapshot = cluster_->metrics()->Snapshot();
-  for (const char* name :
-       {"workload.update_title_micros", "workload.read_index_exact_micros",
-        "workload.scan_index_range_micros"}) {
-    auto it = snapshot.histograms.find(name);
-    ASSERT_NE(it, snapshot.histograms.end()) << name;
-    EXPECT_GT(it->second.count, 0u) << name;
-  }
-  // Windows cover the run and sum to the op total.
-  ASSERT_FALSE(result.windows.empty());
-  uint64_t windowed_ops = 0;
-  for (const auto& w : result.windows) windowed_ops += w.operations;
-  EXPECT_EQ(windowed_ops, result.operations);
-}
-
-TEST_F(SustainedRunnerTest, WindowingDisabledKeepsLegacyShape) {
-  ItemTableOptions item_options;
-  item_options.num_items = 100;
-  ItemTable items(cluster_.get(), item_options);
-  ASSERT_TRUE(items.Create().ok());
-
-  RunnerOptions options;
-  options.op = WorkloadOp::kUpdateTitle;
-  options.threads = 2;
-  options.total_operations = 100;
-  options.slo_window_micros = 0;
-  WorkloadRunner runner(cluster_.get(), &items, options);
-  ASSERT_TRUE(runner.LoadItems(2).ok());
-  RunnerResult result;
-  ASSERT_TRUE(runner.Run(&result).ok());
-  EXPECT_TRUE(result.windows.empty());
-  EXPECT_EQ(result.latency->Count(), result.operations);
-}
 
 }  // namespace
 }  // namespace diffindex
