@@ -8,9 +8,13 @@
 // drain protocol induced, compared against a no-index run with identical
 // flush pressure. The indexed run is measured at drain_batch_size=1 and
 // >1; both run the APS's one drain loop (Section 11 of DESIGN.md). At 1
-// each drain is a batch of one delivered with per-task index puts; above
-// 1 the drain coalesces superseded tasks and ships one multi-put per
-// region server, so both the put stall and the tail-drain time shrink.
+// each drain is a batch of one delivered with per-task index puts; at 8
+// a drain pops up to eight tasks and delivers their index puts as one
+// multi-put per region server. Coalescing happens only when tasks for the
+// same row meet in one drain, which this uniform-key load rarely causes,
+// so `coalesced` is printed rather than assumed. Every printed counter is
+// the registry delta of the measured phase, the same delta as the
+// point's --metrics-json entry (preload excluded).
 
 #include <chrono>
 
@@ -80,10 +84,17 @@ void RunPoint(const char* label, bool with_index, int drain_batch_size,
               .count()) /
       1000.0;
 
-  const uint64_t flushes = env.cluster->TotalFlushes();
-  const uint64_t stall = env.cluster->TotalFlushStallMicros();
-  const uint64_t coalesced =
-      env.cluster->metrics()->GetCounter("auq.coalesced")->value();
+  const obs::MetricsSnapshot delta =
+      env.cluster->metrics()->Snapshot().Delta(env.baseline);
+  auto counter = [&delta](const char* name) -> uint64_t {
+    auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? 0 : it->second;
+  };
+  const uint64_t flushes = counter("rs.flush");
+  const uint64_t coalesced = counter("auq.coalesced");
+  auto stall_it = delta.histograms.find("rs.flush_stall_micros");
+  const uint64_t stall =
+      stall_it == delta.histograms.end() ? 0 : stall_it->second.sum;
   printf("%-14s tps=%7.0f avg=%6.0fus p99=%7lluus  flushes=%4llu  "
          "put-stall: total=%7llu us (%6.0f us/flush, %4.1f us/op)  "
          "tail-drain=%6.1fms  coalesced=%llu\n",
@@ -115,8 +126,9 @@ int main(int argc, char** argv) {
   printf("\nExpected shape: the async runs add stall versus no-index (puts\n");
   printf("briefly blocked while the AUQ drains before each flush), but\n");
   printf("the per-op amortized delay stays small — the paper's 'this\n");
-  printf("delay is reasonable'. The drain=8 run coalesces superseded\n");
-  printf("tasks and ships one RPC per server per batch, so its put TPS\n");
-  printf("is at least that of drain=1 and its stall/tail-drain smaller.\n");
+  printf("delay is reasonable'. The drain=8 run measures batched\n");
+  printf("multi-put delivery: one RPC per server per drained batch.\n");
+  printf("Tasks coalesce only when same-row tasks meet in one drain, so\n");
+  printf("`coalesced` may stay 0 under this uniform-key load.\n");
   return metrics_out.Write() ? 0 : 1;
 }

@@ -4,10 +4,31 @@
 #include <chrono>
 #include <map>
 #include <thread>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace diffindex {
+
+namespace {
+
+// The per-server batching step of MultiPutBatch and MultiGet (Luo &
+// Carey's batched point lookup): positions [0, n) grouped by the server
+// owning key_of(i) = (&table, &row) under the client's cached layout,
+// each group in ascending position order.
+template <typename KeyOf>
+Status GroupByServer(Client* client, size_t n, const KeyOf& key_of,
+                     std::map<NodeId, std::vector<size_t>>* groups) {
+  for (size_t i = 0; i < n; i++) {
+    const auto [table, row] = key_of(i);
+    RegionInfoWire region;
+    DIFFINDEX_RETURN_NOT_OK(client->RouteRow(*table, *row, &region));
+    (*groups)[region.server_id].push_back(i);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Client::Client(Fabric* fabric, NodeId self_node, const ClientOptions& options)
     : fabric_(fabric), self_node_(self_node), options_(options),
@@ -118,33 +139,41 @@ std::vector<RegionInfoWire> Client::TableRegions(const std::string& table) {
   return result;
 }
 
-Status Client::CallRegion(const std::string& table, const Slice& row,
-                          MsgType type, const std::string& body,
-                          std::string* response) {
+Status Client::RetryLoop(const void* fn,
+                         Status (*run)(const void* fn, bool* route_failed)) {
   Status last;
   for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
     if (attempt > 0) {
-      // Stale map or mid-failover: refresh and retry with backoff.
+      // Stale map or mid-failover: back off, refresh and retry.
       BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
+      last = RefreshLayout();
+      if (!last.ok()) continue;
     }
-    RegionInfoWire region;
-    last = RouteRow(table, row, &region);
-    if (!last.ok()) continue;
-    response->clear();
-    last = fabric_->Call(self_node_, region.server_id, type, body, response);
+    bool route_failed = false;
+    last = run(fn, &route_failed);
     if (last.ok()) return last;
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
+    if (!route_failed && !last.IsWrongRegion() && !last.IsUnavailable() &&
         !last.IsResourceExhausted()) {
       return last;
     }
   }
   CountRetryExhausted();
   return last;
+}
+
+Status Client::CallRegion(const std::string& table, const Slice& row,
+                          MsgType type, const std::string& body,
+                          std::string* response) {
+  return Retry([&](bool* route_failed) {
+    RegionInfoWire region;
+    Status s = RouteRow(table, row, &region);
+    if (!s.ok()) {
+      *route_failed = true;
+      return s;
+    }
+    response->clear();
+    return fabric_->Call(self_node_, region.server_id, type, body, response);
+  });
 }
 
 Status Client::Put(const std::string& table, const std::string& row,
@@ -177,98 +206,43 @@ Status Client::PutColumn(const std::string& table, const std::string& row,
 
 Status Client::MultiPut(const std::string& table,
                         std::vector<RowPut> puts) {
-  if (puts.empty()) return Status::OK();
-  Status last;
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
-    }
-    // Group by owning server under the current layout.
-    std::map<NodeId, MultiPutRequest> batches;
-    last = Status::OK();
-    for (const RowPut& put : puts) {
-      RegionInfoWire region;
-      last = RouteRow(table, put.row, &region);
-      if (!last.ok()) break;
-      PutRequest req;
-      req.table = table;
-      req.row = put.row;
-      req.cells = put.cells;
-      batches[region.server_id].puts.push_back(std::move(req));
-    }
-    if (!last.ok()) continue;
-
-    for (auto& [server_id, batch] : batches) {
-      std::string body, response;
-      batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiPut, body,
-                           &response);
-      if (!last.ok()) break;
-      Slice in(response);
-      MultiPutResponse resp;
-      if (!MultiPutResponse::DecodeFrom(&in, &resp)) {
-        return Status::Corruption("malformed multi-put response");
-      }
-    }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
+  std::vector<PutRequest> requests(puts.size());
+  for (size_t i = 0; i < puts.size(); i++) {
+    requests[i].table = table;
+    requests[i].row = std::move(puts[i].row);
+    requests[i].cells = std::move(puts[i].cells);
   }
-  CountRetryExhausted();
-  return last;
+  return MultiPutBatch(std::move(requests));
 }
 
 Status Client::MultiPutBatch(std::vector<PutRequest> puts) {
   if (puts.empty()) return Status::OK();
-  Status last;
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
+  return Retry([&](bool* route_failed) -> Status {
+    std::map<NodeId, std::vector<size_t>> groups;
+    Status s = GroupByServer(
+        this, puts.size(),
+        [&](size_t i) { return std::make_pair(&puts[i].table, &puts[i].row); },
+        &groups);
+    if (!s.ok()) {
+      *route_failed = true;
+      return s;
     }
-    // Group by owning server under the current layout; unlike MultiPut the
-    // requests may target different tables.
-    std::map<NodeId, MultiPutRequest> batches;
-    last = Status::OK();
-    for (const PutRequest& put : puts) {
-      RegionInfoWire region;
-      last = RouteRow(put.table, put.row, &region);
-      if (!last.ok()) break;
-      batches[region.server_id].puts.push_back(put);
-    }
-    if (!last.ok()) continue;
-
-    for (auto& [server_id, batch] : batches) {
+    for (const auto& [server_id, positions] : groups) {
+      MultiPutRequest batch;
+      batch.puts.reserve(positions.size());
+      for (size_t i : positions) batch.puts.push_back(puts[i]);
       std::string body, response;
       batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiPut, body,
-                           &response);
-      if (!last.ok()) break;
+      DIFFINDEX_RETURN_NOT_OK(fabric_->Call(
+          self_node_, server_id, MsgType::kMultiPut, body, &response));
       Slice in(response);
       MultiPutResponse resp;
       if (!MultiPutResponse::DecodeFrom(&in, &resp)) {
         return Status::Corruption("malformed multi-put response");
       }
     }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
-  }
-  CountRetryExhausted();
-  return last;
+    return Status::OK();
+  });
 }
 
 Status Client::DeleteColumns(const std::string& table, const std::string& row,
@@ -311,59 +285,40 @@ Status Client::MultiGet(const std::string& table,
                         std::vector<MultiGetEntry>* entries) {
   entries->clear();
   if (keys.empty()) return Status::OK();
-  Status last;
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      Status rs = RefreshLayout();
-      if (!rs.ok()) {
-        last = rs;
-        continue;
-      }
+  return Retry([&](bool* route_failed) -> Status {
+    std::map<NodeId, std::vector<size_t>> groups;
+    Status s = GroupByServer(
+        this, keys.size(),
+        [&](size_t i) { return std::make_pair(&table, &keys[i].row); },
+        &groups);
+    if (!s.ok()) {
+      *route_failed = true;
+      return s;
     }
-    // Group by owning server, remembering each key's original position so
-    // the per-server responses reassemble in request order.
-    std::map<NodeId, MultiGetRequest> batches;
-    std::map<NodeId, std::vector<size_t>> positions;
-    last = Status::OK();
-    for (size_t i = 0; i < keys.size(); i++) {
-      RegionInfoWire region;
-      last = RouteRow(table, keys[i].row, &region);
-      if (!last.ok()) break;
-      MultiGetRequest& batch = batches[region.server_id];
+    entries->assign(keys.size(), MultiGetEntry{});
+    for (const auto& [server_id, positions] : groups) {
+      MultiGetRequest batch;
       batch.table = table;
       batch.read_ts = read_ts;
-      batch.keys.push_back(keys[i]);
-      positions[region.server_id].push_back(i);
-    }
-    if (!last.ok()) continue;
-
-    entries->assign(keys.size(), MultiGetEntry{});
-    for (auto& [server_id, batch] : batches) {
+      batch.keys.reserve(positions.size());
+      for (size_t i : positions) batch.keys.push_back(keys[i]);
       std::string body, response;
       batch.EncodeTo(&body);
-      last = fabric_->Call(self_node_, server_id, MsgType::kMultiGet, body,
-                           &response);
-      if (!last.ok()) break;
+      DIFFINDEX_RETURN_NOT_OK(fabric_->Call(
+          self_node_, server_id, MsgType::kMultiGet, body, &response));
       Slice in(response);
       MultiGetResponse resp;
       if (!MultiGetResponse::DecodeFrom(&in, &resp) ||
-          resp.entries.size() != batch.keys.size()) {
+          resp.entries.size() != positions.size()) {
         return Status::Corruption("malformed multi-get response");
       }
-      const std::vector<size_t>& pos = positions[server_id];
-      for (size_t j = 0; j < resp.entries.size(); j++) {
-        (*entries)[pos[j]] = std::move(resp.entries[j]);
+      // Reassemble the per-server responses in request order.
+      for (size_t j = 0; j < positions.size(); j++) {
+        (*entries)[positions[j]] = std::move(resp.entries[j]);
       }
     }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
-  }
-  CountRetryExhausted();
-  return last;
+    return Status::OK();
+  });
 }
 
 Status Client::IndexScanRegion(const std::string& index_table,
@@ -452,15 +407,8 @@ Status Client::ScanLocalIndex(const std::string& table,
                               const std::string& end_key, Timestamp read_ts,
                               uint32_t limit,
                               std::vector<RawEntry>* entries) {
-  entries->clear();
-  Status last = Status::OK();
-  for (int attempt = 0; attempt <= options_.max_retries; attempt++) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt);
-      DIFFINDEX_RETURN_NOT_OK(RefreshLayout());
-      entries->clear();
-    }
-    last = Status::OK();
+  return Retry([&](bool*) -> Status {
+    entries->clear();
     for (const RegionInfoWire& region : TableRegions(table)) {
       LocalIndexScanRequest req;
       req.table = table;
@@ -472,9 +420,9 @@ Status Client::ScanLocalIndex(const std::string& table,
       req.limit = limit;
       std::string body, response;
       req.EncodeTo(&body);
-      last = fabric_->Call(self_node_, region.server_id,
-                           MsgType::kLocalIndexScan, body, &response);
-      if (!last.ok()) break;
+      DIFFINDEX_RETURN_NOT_OK(fabric_->Call(self_node_, region.server_id,
+                                            MsgType::kLocalIndexScan, body,
+                                            &response));
       Slice in(response);
       RawScanResponse resp;
       if (!RawScanResponse::DecodeFrom(&in, &resp)) {
@@ -488,14 +436,8 @@ Status Client::ScanLocalIndex(const std::string& table,
         return Status::OK();
       }
     }
-    if (last.ok()) return Status::OK();
-    if (!last.IsWrongRegion() && !last.IsUnavailable() &&
-        !last.IsResourceExhausted()) {
-      return last;
-    }
-  }
-  CountRetryExhausted();
-  return last;
+    return Status::OK();
+  });
 }
 
 Status Client::FlushTable(const std::string& table) {

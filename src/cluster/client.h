@@ -1,8 +1,9 @@
 // Client library: caches a copy of the partition map and routes requests
-// to the region server serving the key (Section 2.2). On WrongRegion or
-// Unavailable errors it refreshes the map from the master and retries —
-// this is how the cluster keeps serving through region reassignment after
-// a server failure.
+// to the region server serving the key (Section 2.2). On WrongRegion,
+// Unavailable or ResourceExhausted errors it refreshes the map from the
+// master and retries under one policy (Client::Retry) — this is how the
+// cluster keeps serving through region reassignment after a server
+// failure.
 //
 // The same class doubles as the *internal* client that Diff-Index's
 // server-side observers use to deliver index puts/deletes to the (remote)
@@ -37,8 +38,9 @@ struct ClientOptions {
   uint64_t retry_jitter_seed = 0;
   // Observability sinks (either may be null); also inherited by the
   // DiffIndexClient / ReadEngine built on top of this client. Exports
-  // counters `client.retries` (every retry sleep) and
-  // `client.retry_exhausted` (gave up after max_retries).
+  // counters `client.retries` (every retry sleep, read-engine page
+  // retries included) and `client.retry_exhausted` (gave up after
+  // max_retries).
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceCollector* traces = nullptr;
 };
@@ -62,9 +64,8 @@ class Client {
     std::string row;
     std::vector<Cell> cells;
   };
-  // Batched write: groups rows by owning region server and ships one
-  // multi-put RPC per server (the "client buffer" path of Section 8.1).
-  // Per-row atomicity only.
+  // Batched write of one table: MultiPutBatch over one PutRequest per row
+  // (the "client buffer" path of Section 8.1). Per-row atomicity only.
   Status MultiPut(const std::string& table, std::vector<RowPut> puts);
 
   // Cross-table batched write: each request carries its own table and
@@ -87,15 +88,15 @@ class Client {
   // Batched cell reads: groups keys by owning region server and ships one
   // multi-get RPC per server (the read-repair verification path of the
   // query engine). `entries` comes back parallel to `keys`; a missing
-  // cell is found=false, not an error. The whole batch is retried on
-  // WrongRegion/Unavailable (reads are idempotent).
+  // cell is found=false, not an error. The whole batch is retried under
+  // Retry (reads are idempotent).
   Status MultiGet(const std::string& table,
                   const std::vector<MultiGetKey>& keys, Timestamp read_ts,
                   std::vector<MultiGetEntry>* entries);
 
   // One scatter-gather leg of a paged index scan: scans a single region
-  // of `index_table`, addressed by region id. No retry loop here — the
-  // query engine retries at page granularity after a layout refresh.
+  // of `index_table`, addressed by region id. No retry here — the query
+  // engine retries the whole page through Retry.
   Status IndexScanRegion(const std::string& index_table,
                          const RegionInfoWire& region,
                          const std::string& start_key,
@@ -134,16 +135,41 @@ class Client {
                   RegionInfoWire* info);
   std::vector<RegionInfoWire> TableRegions(const std::string& table);
 
+  // ---- Retry ----
+
+  // The one retry policy of every retrying call (Section 5.3's
+  // retry-on-reroute): the routed RPCs, the batched RPCs, the local-index
+  // broadcast and the read engine's pages. `attempt(&route_failed)` makes
+  // one try and returns its status; it sets route_failed when it could
+  // not route under the cached layout. Attempt 0 runs at once; before each
+  // later one the loop backs off (jittered, counted in client.retries)
+  // and refreshes the layout. A failed refresh or a routing failure uses
+  // the attempt up, since the layout may be stale; WrongRegion,
+  // Unavailable and ResourceExhausted from the call are retried, and any
+  // other status is returned as it is. After max_retries retries the loop
+  // counts client.retry_exhausted and returns the last status. The
+  // attempt is passed by reference, so no callable is allocated per call.
+  template <typename Attempt>
+  Status Retry(const Attempt& attempt) {
+    return RetryLoop(&attempt, [](const void* fn, bool* route_failed) {
+      return (*static_cast<const Attempt*>(fn))(route_failed);
+    });
+  }
+
   NodeId self_node() const { return self_node_; }
   uint64_t layout_refreshes() const { return layout_refreshes_; }
   obs::MetricsRegistry* metrics() const { return options_.metrics; }
   obs::TraceCollector* traces() const { return options_.traces; }
 
  private:
-  // Sends to the server owning (table, row); refreshes layout and retries
-  // on routing/availability errors.
+  // Sends to the server owning (table, row) under Retry.
   Status CallRegion(const std::string& table, const Slice& row, MsgType type,
                     const std::string& body, std::string* response);
+
+  // Retry's loop; `run(fn, &route_failed)` makes one try with the
+  // attempt callable behind `fn`.
+  Status RetryLoop(const void* fn,
+                   Status (*run)(const void* fn, bool* route_failed));
 
   Status EnsureLayoutLocked() REQUIRES(mu_);
 

@@ -180,20 +180,4 @@ void Cluster::AggregateStaleness(Histogram* out) const {
   }
 }
 
-uint64_t Cluster::TotalFlushStallMicros() const {
-  uint64_t total = 0;
-  for (const auto& [id, bundle] : servers_) {
-    total += bundle.server->flush_stall_micros();
-  }
-  return total;
-}
-
-uint64_t Cluster::TotalFlushes() const {
-  uint64_t total = 0;
-  for (const auto& [id, bundle] : servers_) {
-    total += bundle.server->flush_count();
-  }
-  return total;
-}
-
 }  // namespace diffindex

@@ -100,8 +100,6 @@ class Cluster {
 
   // Aggregate AUQ staleness across servers into *out (Figure 11 probe).
   void AggregateStaleness(Histogram* out) const;
-  uint64_t TotalFlushStallMicros() const;
-  uint64_t TotalFlushes() const;
 
  private:
   explicit Cluster(const ClusterOptions& options);

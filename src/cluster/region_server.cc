@@ -854,12 +854,8 @@ Status RegionServer::ExecutePut(const PutRequest& put, PutResponse* resp) {
   const auto stalled = std::chrono::duration_cast<std::chrono::microseconds>(
                            stall_end - stall_start)
                            .count();
-  if (stalled > 0) {
-    flush_stall_micros_.fetch_add(static_cast<uint64_t>(stalled),
-                                  std::memory_order_relaxed);
-    if (flush_stall_hist_ != nullptr) {
-      flush_stall_hist_->Add(static_cast<uint64_t>(stalled));
-    }
+  if (stalled > 0 && flush_stall_hist_ != nullptr) {
+    flush_stall_hist_->Add(static_cast<uint64_t>(stalled));
   }
 
   if (region->closed()) {

@@ -240,9 +240,6 @@ class RegionServer {
   // Stats for the experiment harness.
   uint64_t wal_appends() const { return wal_appends_.load(); }
   uint64_t flush_count() const { return flush_count_.load(); }
-  // Total microseconds puts spent stalled behind flushes (drain + swap),
-  // for the flush-stall measurement of Section 5.3.
-  uint64_t flush_stall_micros() const { return flush_stall_micros_.load(); }
 
  private:
   struct WalFile {
@@ -401,7 +398,6 @@ class RegionServer {
 
   std::atomic<uint64_t> wal_appends_{0};
   std::atomic<uint64_t> flush_count_{0};
-  std::atomic<uint64_t> flush_stall_micros_{0};
 
   // Cached registry instruments (null when options_.metrics is null).
   obs::Counter* rs_put_counter_ = nullptr;

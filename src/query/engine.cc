@@ -1,8 +1,6 @@
 #include "query/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/index_codec.h"
@@ -79,7 +77,7 @@ Status IndexScanner::GatherOnce(uint32_t budget, std::vector<RawEntry>* out,
 
   // Regions of the index table overlapping [cursor_, end_key_). Regions
   // partition the keyspace, so an empty overlap means the layout is not
-  // loaded yet — report Unavailable to drive the refresh-and-retry loop.
+  // loaded yet — report Unavailable so the client's Retry refreshes it.
   std::vector<RegionInfoWire> legs;
   for (auto& region : raw->TableRegions(index_.index_table)) {
     if (!region.end_row.empty() && region.end_row <= cursor_) continue;
@@ -196,18 +194,8 @@ Status IndexScanner::CollectHits(std::vector<IndexHit>* hits) {
 
   std::vector<RawEntry> merged;
   bool truncated = false;
-  for (int attempt = 0;; attempt++) {
-    Status gather = GatherOnce(budget, &merged, &truncated);
-    if (gather.ok()) break;
-    if (!(gather.IsWrongRegion() || gather.IsUnavailable()) ||
-        attempt >= engine_->options_.max_page_retries) {
-      return gather;
-    }
-    engine_->BackoffBeforeRetry(attempt + 1);
-    // Best effort: even a failed refresh is worth another attempt (the
-    // master may come back).
-    raw->RefreshLayout().IgnoreError();
-  }
+  DIFFINDEX_RETURN_NOT_OK(raw->Retry(
+      [&](bool*) { return GatherOnce(budget, &merged, &truncated); }));
 
   if (metrics != nullptr) metrics->GetCounter("query.pages")->Add();
   if (client->stats() != nullptr) client->stats()->AddIndexRead();
@@ -274,15 +262,6 @@ ThreadPool* ReadEngine::pool() {
         std::max(1, options_.max_parallel_legs), "query");
   }
   return pool_.get();
-}
-
-void ReadEngine::BackoffBeforeRetry(int attempt) {
-  int64_t ms = options_.retry_backoff_ms;
-  for (int i = 1; i < attempt && ms < options_.retry_backoff_max_ms; i++) {
-    ms *= 2;
-  }
-  ms = std::min<int64_t>(ms, options_.retry_backoff_max_ms);
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 Status ReadEngine::FindIndex(const std::string& table,

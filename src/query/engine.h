@@ -12,9 +12,10 @@
 // exposes the result a page at a time behind a resumable cursor.
 //
 // Per-page retry: a leg that lands on a moved region fails fast with
-// WrongRegion (legs are addressed by region id); the engine refreshes
-// the layout and retries the whole page — reads are idempotent, so the
-// page-granular retry is safe.
+// WrongRegion (legs are addressed by region id); the page runs under the
+// client's one retry policy (Client::Retry, ClientOptions), which
+// refreshes the layout and retries the whole page — reads are
+// idempotent, so the page-granular retry is safe.
 //
 // Observability: counters query.pages / query.legs / query.covered /
 // query.base_reads, one Table-2 index read (io.index_read) per page,
@@ -84,12 +85,6 @@ void ProjectCells(const std::vector<std::string>& projection,
 
 struct ReadEngineOptions {
   int max_parallel_legs = 4;  // scatter-gather thread-pool size
-  // Page-level retry on WrongRegion/Unavailable: capped-exponential
-  // backoff starting at retry_backoff_ms, doubling to
-  // retry_backoff_max_ms, up to max_page_retries attempts.
-  int max_page_retries = 8;
-  int retry_backoff_ms = 2;
-  int retry_backoff_max_ms = 64;
 };
 
 class ReadEngine;
@@ -101,10 +96,11 @@ class ReadEngine;
 class IndexScanner {
  public:
   // Next page of results; an empty page with exhausted()==true means the
-  // range is done. Retries layout/availability errors internally; other
-  // errors (including armed query.merge failpoints and Corruption for an
-  // undecodable index row) surface to the caller, leaving the cursor at
-  // the failed page's start so the same page can be retried.
+  // range is done. Retries the page under Client::Retry; errors that
+  // policy does not retry (including armed query.merge failpoints and
+  // Corruption for an undecodable index row) and exhausted retries
+  // surface to the caller, leaving the cursor at the failed page's start
+  // so the same page can be retried.
   Status NextPage(ScanPage* page);
 
   // NextPage without row materialisation: the page's verified hits only
@@ -185,7 +181,6 @@ class ReadEngine {
   // Lazily created scatter-gather pool: scans with max_parallel <= 1
   // never spawn threads (model-checker determinism).
   ThreadPool* pool() EXCLUDES(pool_mu_);
-  void BackoffBeforeRetry(int attempt);
 
   DiffIndexClient* const client_;
   const ReadEngineOptions options_;

@@ -326,5 +326,58 @@ TEST_F(ClusterTest, WalFilesGcAfterFlush) {
   EXPECT_LE(wal_files.size(), 2u);
 }
 
+// With every call dropped, the batched RPCs give up exactly like the
+// routed ones: max_retries retries, then Unavailable and one exhausted
+// retry loop each.
+TEST(ClientRetryTest, BatchedRpcsExhaustRetriesWhenEveryCallDrops) {
+  ClusterOptions options;
+  options.num_servers = 3;
+  options.regions_per_table = 6;
+  options.client.max_retries = 3;
+  options.client.retry_backoff_ms = 1;
+  options.client.retry_backoff_max_ms = 2;
+  std::unique_ptr<Cluster> cluster;
+  ASSERT_TRUE(Cluster::Create(options, &cluster).ok());
+  ASSERT_TRUE(cluster->master()->CreateTable("items").ok());
+  std::shared_ptr<Client> client = cluster->NewClient();
+  ASSERT_TRUE(client->RefreshLayout().ok());
+  obs::Counter* retries = cluster->metrics()->GetCounter("client.retries");
+  obs::Counter* exhausted =
+      cluster->metrics()->GetCounter("client.retry_exhausted");
+
+  Fabric::EdgeFault drop;
+  drop.drop_probability = 1.0;
+  cluster->fabric()->SetDefaultFault(drop);
+
+  // Rows spread over several servers, so each batch fans out.
+  std::vector<MultiGetKey> keys;
+  std::vector<PutRequest> puts;
+  for (const char* row : {"10-a", "60-b", "b0-c", "f0-d"}) {
+    keys.push_back(MultiGetKey{row, "c"});
+    PutRequest put;
+    put.table = "items";
+    put.row = row;
+    put.cells = {Cell{"c", "v", false}};
+    puts.push_back(std::move(put));
+  }
+
+  uint64_t retries_before = retries->value();
+  uint64_t exhausted_before = exhausted->value();
+  std::vector<MultiGetEntry> entries;
+  Status s = client->MultiGet("items", keys, kMaxTimestamp, &entries);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(retries->value() - retries_before, 3u);
+  EXPECT_EQ(exhausted->value() - exhausted_before, 1u);
+
+  retries_before = retries->value();
+  exhausted_before = exhausted->value();
+  s = client->MultiPutBatch(std::move(puts));
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(retries->value() - retries_before, 3u);
+  EXPECT_EQ(exhausted->value() - exhausted_before, 1u);
+
+  cluster->fabric()->ClearFaults();
+}
+
 }  // namespace
 }  // namespace diffindex

@@ -40,6 +40,7 @@ class ScanByIndexTest : public ::testing::Test {
     ClusterOptions options;
     options.num_servers = 3;
     options.regions_per_table = 4;
+    options.client = client_options_;
     ASSERT_TRUE(Cluster::Create(options, &cluster_).ok());
     client_ = cluster_->NewDiffIndexClient();
     ASSERT_TRUE(cluster_->master()->CreateTable(kTable).ok());
@@ -128,6 +129,8 @@ class ScanByIndexTest : public ::testing::Test {
     return cluster_->metrics()->GetCounter(name)->value();
   }
 
+  // Template for the cluster's clients; set before Setup.
+  ClientOptions client_options_;
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<DiffIndexClient> client_;
   IndexDescriptor index_;
@@ -336,17 +339,18 @@ TEST_F(ScanByIndexTest, SurvivesIndexRegionMoveMidScan) {
 // A fully partitioned fabric exhausts the page retries and surfaces
 // Unavailable — but the failed page never advanced the cursor, so once
 // the network heals the SAME scanner resumes and the concatenation is
-// complete and duplicate-free.
+// complete and duplicate-free. Pages retry under the client's policy, so
+// the failed page is exactly max_retries retries and one exhausted loop
+// in the client's counters.
 TEST_F(ScanByIndexTest, DropFaultSurfacesThenScanResumes) {
+  client_options_.max_retries = 2;
+  client_options_.retry_backoff_ms = 1;
+  client_options_.retry_backoff_max_ms = 2;
   Setup(IndexScheme::kSyncFull);
   LoadRows(40);
   const std::vector<IndexHit> want = Reference("", "");
 
-  ReadEngineOptions fast;
-  fast.max_page_retries = 2;
-  fast.retry_backoff_ms = 1;
-  fast.retry_backoff_max_ms = 2;
-  ReadEngine engine(client_.get(), fast);
+  ReadEngine engine(client_.get());
   ScanOptions options;
   options.page_entries = 10;
   std::unique_ptr<IndexScanner> scanner;
@@ -358,11 +362,15 @@ TEST_F(ScanByIndexTest, DropFaultSurfacesThenScanResumes) {
   ASSERT_TRUE(scanner->NextPage(&page).ok());
   got.insert(got.end(), page.hits.begin(), page.hits.end());
 
+  const uint64_t retries = CounterValue("client.retries");
+  const uint64_t exhausted = CounterValue("client.retry_exhausted");
   Fabric::EdgeFault drop;
   drop.drop_probability = 1.0;
   cluster_->fabric()->SetDefaultFault(drop);
   Status s = scanner->NextPage(&page);
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(CounterValue("client.retries") - retries, 2u);
+  EXPECT_EQ(CounterValue("client.retry_exhausted") - exhausted, 1u);
 
   cluster_->fabric()->ClearFaults();
   while (!scanner->exhausted()) {
